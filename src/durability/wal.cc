@@ -1,20 +1,27 @@
 #include "durability/wal.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 
+#include "common/crc32c.h"
 #include "common/log.h"
-#include "net/message.h"
 #include "net/wire.h"
 
 namespace ecc::durability {
 
 namespace {
 
-/// Record header: u32 body length + u32 FNV-1a checksum of the body.
+/// File header: u32 magic + u32 format version, written at creation.
+constexpr std::uint32_t kWalMagic = 0x4C574345;  // "ECWL" on disk
+/// 1 was the headerless FNV-1a log; 2 checksums records with CRC32C.
+constexpr std::uint32_t kWalVersion = 2;
+constexpr std::size_t kFileHeaderBytes = 4 + 4;
+
+/// Record header: u32 body length + u32 CRC32C of the body.
 constexpr std::size_t kRecordHeaderBytes = 4 + 4;
 
 /// Lengths above this are corruption, not data (a shard record is bounded
@@ -62,14 +69,17 @@ Status DecodeBody(std::string_view body, WalRecord* out) {
   return Status::Ok();
 }
 
+Status SysError(const std::string& what) {
+  return Status::Internal(what + ": " + std::strerror(errno));
+}
+
 Status WriteAll(int fd, const char* buf, std::size_t n) {
   std::size_t done = 0;
   while (done < n) {
     const ssize_t w = ::write(fd, buf + done, n - done);
     if (w < 0) {
       if (errno == EINTR) continue;
-      return Status::Internal(std::string("wal write: ") +
-                              std::strerror(errno));
+      return SysError("wal write");
     }
     done += static_cast<std::size_t>(w);
   }
@@ -84,12 +94,29 @@ WriteAheadLog::~WriteAheadLog() { Close(); }
 
 Status WriteAheadLog::Open() {
   if (fd_ >= 0) return Status::Ok();
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
-               0644);
-  if (fd_ < 0) {
-    return Status::Internal("wal open " + path_ + ": " +
-                            std::strerror(errno));
+  const int fd =
+      ::open(path_.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  if (fd < 0) return SysError("wal open " + path_);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const Status s = SysError("wal stat " + path_);
+    ::close(fd);
+    return s;
   }
+  // An empty file is a new log (or one whose creation was cut short): its
+  // header goes out with the first record, in the same write.  A file
+  // with content must be a log in this format; never append to another.
+  header_pending_ = st.st_size == 0;
+  if (!header_pending_) {
+    const std::string header = FileHeader();
+    char got[kFileHeaderBytes] = {};
+    if (::pread(fd, got, sizeof(got), 0) != static_cast<ssize_t>(sizeof(got)) ||
+        std::memcmp(got, header.data(), sizeof(got)) != 0) {
+      ::close(fd);
+      return Status::InvalidArgument("wal " + path_ + ": unknown format");
+    }
+  }
+  fd_ = fd;
   return Status::Ok();
 }
 
@@ -100,11 +127,18 @@ void WriteAheadLog::Close() {
   }
 }
 
+std::string WriteAheadLog::FileHeader() {
+  net::WireWriter w;
+  w.PutU32(kWalMagic);
+  w.PutU32(kWalVersion);
+  return w.TakeBuffer();
+}
+
 std::string WriteAheadLog::EncodeRecord(const WalRecord& r) {
   const std::string body = EncodeBody(r);
   net::WireWriter w;
   w.PutU32(static_cast<std::uint32_t>(body.size()));
-  w.PutU32(net::FramePayloadCrc(body));
+  w.PutU32(common::Crc32c(body));
   std::string out = w.TakeBuffer();
   out += body;
   return out;
@@ -112,10 +146,12 @@ std::string WriteAheadLog::EncodeRecord(const WalRecord& r) {
 
 Status WriteAheadLog::Append(const WalRecord& r) {
   if (fd_ < 0) return Status::FailedPrecondition("wal not open");
-  const std::string frame = EncodeRecord(r);
+  std::string frame = header_pending_ ? FileHeader() : std::string();
+  frame += EncodeRecord(r);
   if (Status s = WriteAll(fd_, frame.data(), frame.size()); !s.ok()) {
     return s;
   }
+  header_pending_ = false;
   ++appended_;
   ++unsynced_;
   bytes_appended_ += frame.size();
@@ -134,9 +170,10 @@ Status WriteAheadLog::Sync() {
 
 Status WriteAheadLog::Reset() {
   if (fd_ < 0) return Status::FailedPrecondition("wal not open");
-  if (::ftruncate(fd_, 0) != 0) {
-    return Status::Internal(std::string("wal truncate: ") +
-                            std::strerror(errno));
+  // Keep the file header (if written): the log stays a valid, empty log.
+  const off_t keep = header_pending_ ? 0 : static_cast<off_t>(kFileHeaderBytes);
+  if (::ftruncate(fd_, keep) != 0) {
+    return SysError("wal truncate");
   }
   unsynced_ = 0;
   return Status::Ok();
@@ -168,9 +205,25 @@ StatusOr<WalReplayStats> WriteAheadLog::Replay(
   }
   ::close(fd);
 
+  // The file header.  A log in another format (the headerless FNV-1a log,
+  // or a foreign file) is refused and left as it is: cutting it as a torn
+  // tail would destroy every record in it.  An empty file is a log with no
+  // record yet; a prefix of our own header is a first write cut short, and
+  // its bytes are dropped like any torn tail.
+  const std::string header = FileHeader();
+  std::size_t off = 0;
+  const bool own_format =
+      data.size() >= kFileHeaderBytes
+          ? data.compare(0, kFileHeaderBytes, header) == 0
+          : header.compare(0, data.size(), data) == 0;
+  if (!own_format) {
+    return Status::InvalidArgument("wal " + path +
+                                   ": unknown format (no ECWL v2 header)");
+  }
+  if (data.size() >= kFileHeaderBytes) off = kFileHeaderBytes;
+
   // Walk frames; the first bad one (short header, implausible length, bad
   // checksum, undecodable body) ends the valid prefix.
-  std::size_t off = 0;
   while (off + kRecordHeaderBytes <= data.size()) {
     std::uint32_t len = 0;
     std::uint32_t crc = 0;
@@ -181,7 +234,7 @@ StatusOr<WalReplayStats> WriteAheadLog::Replay(
       break;  // torn tail (or garbage length)
     }
     const std::string_view body(data.data() + off + kRecordHeaderBytes, len);
-    if (net::FramePayloadCrc(body) != crc) break;  // bit damage
+    if (common::Crc32c(body) != crc) break;  // bit damage
     WalRecord rec;
     if (!DecodeBody(body, &rec).ok()) break;
     if (Status s = apply(rec); !s.ok()) return s;

@@ -1,9 +1,14 @@
 // Append-only write-ahead log for one cache shard.
 //
-// Record framing reuses the wire idiom from src/net (framing.h/message.h):
-// each record is `u32 length | u32 FNV-1a checksum | body`, little-endian,
-// with the checksum taken over the body bytes.  The body is a WireWriter
-// encoding of one shard mutation (put / erase / erase-range).
+// On disk: an 8-byte file header (u32 magic "ECWL" + u32 format version,
+// currently 2), written with the log's first record, then records.  Record
+// framing follows the wire idiom from src/net (framing.h/message.h): each
+// record is `u32 length | u32 CRC32C | body`, little-endian, with the
+// checksum (common/crc32c.h) taken over the body bytes.  The body is a
+// WireWriter encoding of one shard mutation (put / erase / erase-range).
+// A log without the header — the version-1 headerless FNV-1a format, or
+// any foreign file — is refused with InvalidArgument by both Open() and
+// Replay(), and left exactly as it is.
 //
 // Durability contract:
 //   * Append() issues the full write(2) before returning, so once a PUT
@@ -16,7 +21,8 @@
 //     implausible length, a checksum mismatch, or an undecodable body ends
 //     the replay at the last valid record — a partial record is never
 //     served — and (by default) the file is truncated there so the next
-//     append starts from a clean tail.
+//     append starts from a clean tail.  A file header cut short at
+//     creation counts as a torn tail of an empty log.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +51,7 @@ struct WalRecord {
 struct WalReplayStats {
   std::uint64_t records = 0;          ///< records decoded and applied
   std::uint64_t bytes_kept = 0;       ///< file prefix covered by them
+                                      ///< (file header included)
   std::uint64_t bytes_truncated = 0;  ///< torn/corrupt tail discarded
   bool torn = false;                  ///< replay ended at a bad record
 };
@@ -57,7 +64,9 @@ class WriteAheadLog {
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  /// Open (creating if absent) for appends.  Idempotent.
+  /// Open (creating if absent) for appends; the first Append() of an
+  /// empty file writes the file header with its record.  InvalidArgument
+  /// when the existing file is not a log in this format.  Idempotent.
   Status Open();
   void Close();
   [[nodiscard]] bool is_open() const { return fd_ >= 0; }
@@ -69,7 +78,8 @@ class WriteAheadLog {
   /// fdatasync if any append landed since the last sync (fsync batching).
   Status Sync();
 
-  /// Truncate to zero length (after a snapshot made the log redundant).
+  /// Truncate to an empty log, file header kept (after a snapshot made
+  /// the log redundant).
   Status Reset();
 
   [[nodiscard]] std::uint64_t appended() const { return appended_; }
@@ -78,11 +88,14 @@ class WriteAheadLog {
   }
   [[nodiscard]] std::uint64_t unsynced() const { return unsynced_; }
 
-  /// One record as its on-disk frame (exposed for torn-tail tests).
+  /// The file header every log starts with, and one record as its on-disk
+  /// frame (exposed for torn-tail tests that build logs by hand).
+  [[nodiscard]] static std::string FileHeader();
   [[nodiscard]] static std::string EncodeRecord(const WalRecord& r);
 
   /// Replay `path` oldest-first, calling `apply` per valid record.  A
-  /// missing file is an empty log (ok, zero records).  The first invalid
+  /// missing file is an empty log (ok, zero records); a file in another
+  /// format is InvalidArgument and untouched.  The first invalid
   /// record ends the replay; with `truncate_torn_tail` the file is cut at
   /// the last valid byte so subsequent appends extend a clean log.  An
   /// `apply` failure aborts with that status (the tail is left alone).
@@ -97,6 +110,7 @@ class WriteAheadLog {
   std::uint64_t appended_ = 0;
   std::uint64_t bytes_appended_ = 0;
   std::uint64_t unsynced_ = 0;
+  bool header_pending_ = false;  ///< file is empty: header not yet written
 };
 
 }  // namespace ecc::durability

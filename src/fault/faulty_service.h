@@ -9,6 +9,7 @@
 // and double-charge its latency.
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <string>
@@ -36,7 +37,7 @@ class FaultyService final : public service::Service {
 
   [[nodiscard]] StatusOr<service::ServiceResult> Invoke(
       const sfc::GeoTemporalQuery& q, VirtualClock* clock) override {
-    ++attempts_;
+    attempts_.fetch_add(1, std::memory_order_relaxed);
     const ServiceFault fault = injector_->OnServiceCall();
     if (fault.fail) {
       if (clock != nullptr) clock->Advance(failure_cost_);
@@ -62,13 +63,15 @@ class FaultyService final : public service::Service {
   }
 
   /// All attempts, failed ones included.
-  [[nodiscard]] std::uint64_t attempts() const { return attempts_; }
+  [[nodiscard]] std::uint64_t attempts() const {
+    return attempts_.load(std::memory_order_relaxed);
+  }
 
  private:
   service::Service* inner_;
   FaultInjector* injector_;
   Duration failure_cost_;
-  std::uint64_t attempts_ = 0;
+  std::atomic<std::uint64_t> attempts_{0};
 };
 
 }  // namespace ecc::fault

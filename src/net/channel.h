@@ -4,9 +4,10 @@
 // A Channel owns one logical request/response path to a single endpoint.
 // Implementations differ in what "the wire" is:
 //
-//   * LoopbackChannel (rpc.h)      — in-process dispatch, transfer *time*
-//     charged to a virtual clock from a NetworkModel.  The simulator's
-//     transport.
+//   * LoopbackChannel (rpc.h)      — in-process dispatch of the Message
+//     itself (no codec, no checksum), transfer *time* charged to a
+//     virtual clock from a NetworkModel and the message's WireSize().  The
+//     simulator's transport.
 //   * SocketTransport (socket_channel.h) — a real Unix socketpair and a
 //     server thread: the kernel boundary without an address.
 //   * TcpChannel (tcp_channel.h)   — real TCP to a host:port served by an

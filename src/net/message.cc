@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/crc32c.h"
+
 namespace ecc::net {
 
 const char* MsgTypeName(MsgType t) {
@@ -69,7 +71,7 @@ std::string Message::Serialize() const {
   WireWriter w;
   w.PutU8(static_cast<std::uint8_t>(type));
   w.PutU32(static_cast<std::uint32_t>(payload.size()));
-  w.PutU32(FramePayloadCrc(payload));
+  w.PutU32(common::Crc32c(payload));
   std::string out = w.TakeBuffer();
   out += payload;
   return out;
@@ -92,7 +94,7 @@ StatusOr<Message> Message::Deserialize(std::string_view bytes) {
   Message m;
   m.type = static_cast<MsgType>(tag);
   m.payload = std::string(bytes.substr(bytes.size() - len));
-  if (FramePayloadCrc(m.payload) != crc) {
+  if (common::Crc32c(m.payload) != crc) {
     // Wire damage, not a malformed request: loss-equivalent and therefore
     // retryable, unlike the InvalidArgument cases above.
     return Status::Unavailable("frame checksum mismatch");

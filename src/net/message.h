@@ -50,23 +50,15 @@ enum class MsgType : std::uint8_t {
 }
 
 /// Frame header layout shared by every byte-stream transport: 1-byte type
-/// tag + u32 little-endian payload length + u32 little-endian FNV-1a
-/// checksum of the payload.  The checksum is what turns wire corruption
-/// (a flipped bit anywhere in the payload) into a detectable, retryable
-/// transport error instead of a silently-wrong stored value: without it an
-/// acknowledged Put whose value byte was damaged in flight would read back
-/// corrupt forever.
+/// tag + u32 little-endian payload length + u32 little-endian CRC32C
+/// (common/crc32c.h) of the payload.  The checksum is what turns wire
+/// corruption (a damaged byte anywhere in the payload) into a detectable,
+/// retryable transport error instead of a silently-wrong stored value:
+/// without it an acknowledged Put whose value byte was damaged in flight
+/// would read back corrupt forever.  Frames carry no version: both ends of
+/// a connection always run the same build.  The in-process LoopbackChannel
+/// never builds a frame; it only charges WireSize().
 inline constexpr std::size_t kFrameHeaderBytes = 1 + 4 + 4;
-
-/// FNV-1a (32-bit) over the payload bytes — the frame checksum.
-[[nodiscard]] constexpr std::uint32_t FramePayloadCrc(std::string_view bytes) {
-  std::uint32_t h = 2166136261u;
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 16777619u;
-  }
-  return h;
-}
 
 /// Validate a frame header before trusting its length: unknown tags and
 /// frames above `max_frame_bytes` are rejected without allocating.  On Ok,

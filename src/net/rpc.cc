@@ -25,12 +25,13 @@ StatusOr<Message> LoopbackChannel::Call(const Message& request) {
   const CallFault fault = NextFault(request.type);
   if (fault.kind != CallFaultKind::kNone) ++stats_.faults_injected;
 
-  // Serialize and "transmit" the request.
-  const std::string wire = request.Serialize();
-  if (clock_ != nullptr) clock_->Advance(model_.TransferTime(wire.size()));
-  stats_.bytes_sent += wire.size();
+  // "Transmit" the request: charge the bytes its frame would occupy.
+  const std::size_t request_bytes = request.WireSize();
+  const Duration request_time = model_.TransferTime(request_bytes);
+  if (clock_ != nullptr) clock_->Advance(request_time);
+  stats_.bytes_sent += request_bytes;
   ++stats_.calls;
-  stats_.time_on_wire += model_.TransferTime(wire.size());
+  stats_.time_on_wire += request_time;
 
   if (fault.kind == CallFaultKind::kDelay) {
     if (clock_ != nullptr) clock_->Advance(fault.delay);
@@ -42,10 +43,12 @@ StatusOr<Message> LoopbackChannel::Call(const Message& request) {
     return Status::Unavailable("injected fault: request lost");
   }
 
-  // The server parses the frame it received.
-  auto parsed = Message::Deserialize(wire);
-  if (!parsed.ok()) return parsed.status();
-  auto response = server_->Dispatch(*parsed);
+  // The server takes the request as it was handed over; the tag check is
+  // the one a frame parser would make.
+  if (!IsKnownMsgType(static_cast<std::uint8_t>(request.type))) {
+    return Status::InvalidArgument("unknown message type tag");
+  }
+  auto response = server_->Dispatch(request);
   if (!response.ok()) return response.status();
 
   if (fault.kind == CallFaultKind::kDropResponse) {
@@ -54,14 +57,12 @@ StatusOr<Message> LoopbackChannel::Call(const Message& request) {
   }
 
   // "Transmit" the response back.
-  const std::string resp_wire = response->Serialize();
-  if (clock_ != nullptr) {
-    clock_->Advance(model_.TransferTime(resp_wire.size()));
-  }
-  stats_.bytes_received += resp_wire.size();
-  stats_.time_on_wire += model_.TransferTime(resp_wire.size());
-
-  return Message::Deserialize(resp_wire);
+  const std::size_t response_bytes = response->WireSize();
+  const Duration response_time = model_.TransferTime(response_bytes);
+  if (clock_ != nullptr) clock_->Advance(response_time);
+  stats_.bytes_received += response_bytes;
+  stats_.time_on_wire += response_time;
+  return response;  // moved out, never copied
 }
 
 StatusOr<Message> CallWithRetry(Channel& channel, const Message& request,

@@ -2,10 +2,14 @@
 //
 // An RpcServer dispatches framed Messages to per-type handlers.  A
 // LoopbackChannel is the simulator's net::Channel (see channel.h): each
-// Call serializes the request, charges the network model for request and
-// response transfer on the shared virtual clock, and hands back the
-// decoded response — the same code path a socket transport follows, minus
-// the kernel.
+// Call hands the request Message itself to the server — no serialization,
+// no checksum — and charges the network model for request and response
+// transfer on the shared virtual clock from each message's WireSize(),
+// exactly the bytes Serialize() would produce.  Virtual time and
+// ChannelStats are therefore what a byte-stream transport would report;
+// only the codec's wall-clock cost is gone.  Codec and checksum coverage
+// lives in net_test/net_fuzz_test and in the socketpair and TCP
+// transports, which always serialize.
 //
 // Fault injection: a channel may carry a CallInterceptor (see src/fault/),
 // which gets to see every Call and can drop the request before dispatch,
@@ -67,9 +71,10 @@ class LoopbackChannel final : public Channel {
   LoopbackChannel(RpcServer* server, NetworkModel model,
                   VirtualClock* clock);
 
-  /// Full round trip: serialize, charge request transfer, dispatch, charge
-  /// response transfer, deserialize.  Unavailable if an interceptor drops
-  /// either direction.
+  /// Full round trip: charge request transfer, dispatch `request` as is,
+  /// charge response transfer, move the response out.  Unavailable if an
+  /// interceptor drops either direction; InvalidArgument for a message tag
+  /// the protocol does not define, as a frame parser would answer.
   [[nodiscard]] StatusOr<Message> Call(const Message& request) override;
 
   [[nodiscard]] ChannelStats stats() const override { return stats_; }

@@ -1,10 +1,11 @@
 // Explicit little-endian wire format.
 //
-// The paper's cache servers exchange records over EC2's network; our
-// substitute keeps the full serialize → transfer → deserialize code path but
-// delivers in-process (see rpc.h).  Integers are fixed-width little-endian
-// or LEB128 varints; byte strings are varint-length-prefixed.  Decoding is
-// bounds-checked and never reads past the buffer.
+// The paper's cache servers exchange records over EC2's network.  The
+// socketpair and TCP transports run the full serialize → transfer →
+// deserialize path; the in-process loopback (rpc.h) hands Messages over
+// as they are and only charges their wire size.  Integers are fixed-width
+// little-endian or LEB128 varints; byte strings are varint-length-prefixed.
+// Decoding is bounds-checked and never reads past the buffer.
 #pragma once
 
 #include <cstdint>

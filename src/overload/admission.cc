@@ -19,14 +19,16 @@ AdmissionQueue::Ticket AdmissionQueue::Enter() {
   const std::size_t depth = waiting_.size() + in_service_;
   if (opts_.queue_limit > 0 && depth >= opts_.queue_limit) {
     if (opts_.policy == AdmissionPolicy::kRejectNew || waiting_.empty()) {
-      // Under kDropOldest an empty waiting set means every slot is already
-      // in service — nothing is revocable, so the newcomer sheds after all.
+      // Under kDropOldest an empty waiting set means the only pending miss
+      // is in service — nothing is revocable, so the newcomer sheds after
+      // all.
       ++stats_.rejected;
       return kRejected;
     }
     revoked_.insert(waiting_.front());
     waiting_.pop_front();
     ++stats_.dropped;
+    slot_cv_.notify_all();  // the revoked waiter must shed now
   }
   const Ticket t = next_++;
   waiting_.push_back(t);
@@ -37,18 +39,21 @@ AdmissionQueue::Ticket AdmissionQueue::Enter() {
 }
 
 bool AdmissionQueue::StartService(Ticket t) {
-  const std::lock_guard<std::mutex> g(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
+  slot_cv_.wait(lock,
+                [&] { return in_service_ == 0 || revoked_.count(t) > 0; });
   if (revoked_.erase(t) > 0) return false;
   const auto it = std::find(waiting_.begin(), waiting_.end(), t);
   if (it != waiting_.end()) waiting_.erase(it);
-  ++in_service_;
+  in_service_ = 1;
   return true;
 }
 
 void AdmissionQueue::Exit(Ticket t) {
   (void)t;
   const std::lock_guard<std::mutex> g(mutex_);
-  if (in_service_ > 0) --in_service_;
+  in_service_ = 0;
+  slot_cv_.notify_all();
 }
 
 void AdmissionQueue::Cancel(Ticket t) {

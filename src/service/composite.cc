@@ -66,11 +66,13 @@ CompositeService::CompositeService(std::string name, ComposeFn compose)
 }
 
 void CompositeService::AddStage(CachedStage stage) {
+  const std::lock_guard<std::mutex> g(mutex_);
   stages_.push_back(std::move(stage));
 }
 
 StatusOr<ServiceResult> CompositeService::Invoke(
     const sfc::GeoTemporalQuery& q, VirtualClock* clock) {
+  const std::lock_guard<std::mutex> g(mutex_);
   if (stages_.empty()) {
     return Status::FailedPrecondition("composite has no stages");
   }
@@ -89,6 +91,11 @@ StatusOr<ServiceResult> CompositeService::Invoke(
   result.exec_time =
       clock != nullptr ? clock->now() - start : Duration::Zero();
   return result;
+}
+
+std::uint64_t CompositeService::invocations() const {
+  const std::lock_guard<std::mutex> g(mutex_);
+  return invocations_;
 }
 
 }  // namespace ecc::service

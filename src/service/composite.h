@@ -12,6 +12,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -75,13 +76,13 @@ class CompositeService final : public Service {
   [[nodiscard]] const std::string& name() const override { return name_; }
 
   /// Runs every stage (cache-first) and composes the results.  Execution
-  /// time is whatever the stages charged to the clock.
+  /// time is whatever the stages charged to the clock.  Concurrent calls
+  /// take turns: the stage caches and their counters sit behind one mutex,
+  /// held for the whole stage walk.
   [[nodiscard]] StatusOr<ServiceResult> Invoke(
       const sfc::GeoTemporalQuery& q, VirtualClock* clock) override;
 
-  [[nodiscard]] std::uint64_t invocations() const override {
-    return invocations_;
-  }
+  [[nodiscard]] std::uint64_t invocations() const override;
   [[nodiscard]] const std::vector<CachedStage>& stages() const {
     return stages_;
   }
@@ -90,6 +91,8 @@ class CompositeService final : public Service {
  private:
   std::string name_;
   ComposeFn compose_;
+  /// Guards stages_ (their caches and hit/miss counters) and invocations_.
+  mutable std::mutex mutex_;
   std::vector<CachedStage> stages_;
   std::uint64_t invocations_ = 0;
 };

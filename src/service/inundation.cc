@@ -119,7 +119,6 @@ StatusOr<ServiceResult> InundationService::Invoke(
     const sfc::GeoTemporalQuery& q, VirtualClock* clock) {
   auto cell = lin_.Quantize(q);
   if (!cell.ok()) return cell.status();
-  ++invocations_;
 
   // Same terrain identity scheme as the shoreline service, so composite
   // workflows see a coherent world.
@@ -135,13 +134,23 @@ StatusOr<ServiceResult> InundationService::Invoke(
 
   ServiceResult result;
   result.payload = EncodeInundation(map, opts_.max_result_bytes);
-  const Duration jitter =
-      Duration::Seconds(rng_.Normal(0.0, opts_.exec_jitter.seconds()));
+  double jitter_s = 0.0;
+  {
+    const std::lock_guard<std::mutex> g(mutex_);
+    ++invocations_;
+    jitter_s = rng_.Normal(0.0, opts_.exec_jitter.seconds());
+  }
+  const Duration jitter = Duration::Seconds(jitter_s);
   Duration cost = opts_.base_exec_time + jitter;
   if (cost < opts_.base_exec_time * 0.5) cost = opts_.base_exec_time * 0.5;
   result.exec_time = cost;
   if (clock != nullptr) clock->Advance(cost);
   return result;
+}
+
+std::uint64_t InundationService::invocations() const {
+  const std::lock_guard<std::mutex> g(mutex_);
+  return invocations_;
 }
 
 }  // namespace ecc::service

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -64,9 +65,7 @@ class InundationService final : public Service {
   [[nodiscard]] const std::string& name() const override { return name_; }
   [[nodiscard]] StatusOr<ServiceResult> Invoke(
       const sfc::GeoTemporalQuery& q, VirtualClock* clock) override;
-  [[nodiscard]] std::uint64_t invocations() const override {
-    return invocations_;
-  }
+  [[nodiscard]] std::uint64_t invocations() const override;
 
   [[nodiscard]] const sfc::Linearizer& linearizer() const { return lin_; }
 
@@ -74,6 +73,9 @@ class InundationService final : public Service {
   std::string name_ = "inundation-mapping";
   InundationServiceOptions opts_;
   sfc::Linearizer lin_;
+  /// Guards the jitter draw and the counter only; CTM generation and the
+  /// flood mask run unlocked.
+  mutable std::mutex mutex_;
   Rng rng_;
   std::uint64_t invocations_ = 0;
 };

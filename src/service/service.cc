@@ -13,8 +13,6 @@ StatusOr<ServiceResult> ShorelineService::Invoke(
   auto cell = lin_.Quantize(q);
   if (!cell.ok()) return cell.status();
 
-  ++invocations_;
-
   // Terrain identity is the spatial cell; the time slot selects the tide.
   const std::uint64_t terrain_seed =
       SplitMix64((static_cast<std::uint64_t>(cell->x) << 32) ^ cell->y ^
@@ -29,13 +27,23 @@ StatusOr<ServiceResult> ShorelineService::Invoke(
   result.payload = EncodeShoreline(segs, ctm.width(), ctm.height(),
                                    opts_.max_result_bytes);
   // Execution cost: base plus jitter, never below half the base.
-  const Duration jitter = Duration::Seconds(rng_.Normal(
-      0.0, opts_.exec_jitter.seconds()));
+  double jitter_s = 0.0;
+  {
+    const std::lock_guard<std::mutex> g(mutex_);
+    ++invocations_;
+    jitter_s = rng_.Normal(0.0, opts_.exec_jitter.seconds());
+  }
+  const Duration jitter = Duration::Seconds(jitter_s);
   Duration cost = opts_.base_exec_time + jitter;
   if (cost < opts_.base_exec_time * 0.5) cost = opts_.base_exec_time * 0.5;
   result.exec_time = cost;
   if (clock != nullptr) clock->Advance(cost);
   return result;
+}
+
+std::uint64_t ShorelineService::invocations() const {
+  const std::lock_guard<std::mutex> g(mutex_);
+  return invocations_;
 }
 
 SyntheticService::SyntheticService(std::string name, Duration exec_time,
@@ -46,7 +54,7 @@ SyntheticService::SyntheticService(std::string name, Duration exec_time,
 
 StatusOr<ServiceResult> SyntheticService::Invoke(
     const sfc::GeoTemporalQuery& q, VirtualClock* clock) {
-  ++invocations_;
+  invocations_.fetch_add(1, std::memory_order_relaxed);
   ServiceResult result;
   // Deterministic, query-dependent payload.
   const auto tag = static_cast<std::uint64_t>(q.longitude * 1e3) ^

@@ -4,10 +4,18 @@
 // from a spatiotemporal query to a small derived blob.  Execution cost is
 // charged to the shared virtual clock: the paper's shoreline extraction
 // baseline is ~23 s per uncached invocation.
+//
+// Concurrency contract: Invoke() may be called from several threads at
+// once (the parallel front end's leaders of distinct keys do exactly
+// that), so every implementation guards its own mutable state — counters,
+// jitter RNGs, stage caches — and keeps the expensive, pure part of the
+// work outside any lock.  name() and invocations() are safe alongside it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/rng.h"
@@ -31,7 +39,8 @@ class Service {
   [[nodiscard]] virtual const std::string& name() const = 0;
 
   /// Execute the service for `q`, charging the execution time to `clock`
-  /// (may be null for cost-free probing in tests).
+  /// (may be null for cost-free probing in tests).  Safe to call
+  /// concurrently; each caller passes its own clock.
   [[nodiscard]] virtual StatusOr<ServiceResult> Invoke(
       const sfc::GeoTemporalQuery& q, VirtualClock* clock) = 0;
 
@@ -62,9 +71,7 @@ class ShorelineService final : public Service {
   [[nodiscard]] StatusOr<ServiceResult> Invoke(
       const sfc::GeoTemporalQuery& q, VirtualClock* clock) override;
 
-  [[nodiscard]] std::uint64_t invocations() const override {
-    return invocations_;
-  }
+  [[nodiscard]] std::uint64_t invocations() const override;
 
   [[nodiscard]] const sfc::Linearizer& linearizer() const { return lin_; }
   [[nodiscard]] const ShorelineServiceOptions& options() const {
@@ -75,6 +82,9 @@ class ShorelineService final : public Service {
   std::string name_ = "shoreline-extraction";
   ShorelineServiceOptions opts_;
   sfc::Linearizer lin_;
+  /// Guards the jitter draw and the counter only; CTM generation and
+  /// contouring run unlocked.
+  mutable std::mutex mutex_;
   Rng rng_;
   std::uint64_t invocations_ = 0;
 };
@@ -90,14 +100,14 @@ class SyntheticService final : public Service {
   [[nodiscard]] StatusOr<ServiceResult> Invoke(
       const sfc::GeoTemporalQuery& q, VirtualClock* clock) override;
   [[nodiscard]] std::uint64_t invocations() const override {
-    return invocations_;
+    return invocations_.load(std::memory_order_relaxed);
   }
 
  private:
   std::string name_;
   Duration exec_time_;
   std::size_t payload_bytes_;
-  std::uint64_t invocations_ = 0;
+  std::atomic<std::uint64_t> invocations_{0};
 };
 
 }  // namespace ecc::service

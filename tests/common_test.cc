@@ -1,5 +1,5 @@
 // Unit tests for the common substrate: virtual time, RNG, status, config,
-// histogram, time series, tables.
+// histogram, time series, tables, CRC32C.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +9,7 @@
 #include <set>
 
 #include "common/config.h"
+#include "common/crc32c.h"
 #include "common/histogram.h"
 #include "common/log.h"
 #include "common/rng.h"
@@ -432,6 +433,51 @@ TEST(TableTest, NumericRowFormatting) {
   t.AddRow({1.0, 2.3456789});
   const std::string out = t.ToString();
   EXPECT_NE(out.find("2.346"), std::string::npos);
+}
+
+// --- CRC32C -----------------------------------------------------------------
+
+TEST(Crc32cTest, KnownAnswers) {
+  // The CRC32C check value, plus RFC 3720 (iSCSI) appendix B.4 vectors.
+  EXPECT_EQ(common::Crc32c("123456789"), 0xE3069283u);
+  EXPECT_EQ(common::Crc32cPortable("123456789"), 0xE3069283u);
+  EXPECT_EQ(common::Crc32c(""), 0u);
+  EXPECT_EQ(common::Crc32c(std::string(32, '\0')), 0x8A9136AAu);
+  EXPECT_EQ(common::Crc32c(std::string(32, '\xff')), 0x62A8AB43u);
+  std::string ascending;
+  for (int i = 0; i < 32; ++i) ascending.push_back(static_cast<char>(i));
+  EXPECT_EQ(common::Crc32c(ascending), 0x46DD794Eu);
+}
+
+TEST(Crc32cTest, ContinuationMatchesOneShot) {
+  const std::string text = "The quick brown fox jumps over the lazy dog";
+  for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+    const std::string_view head(text.data(), cut);
+    const std::string_view tail(text.data() + cut, text.size() - cut);
+    EXPECT_EQ(common::Crc32c(tail, common::Crc32c(head)), common::Crc32c(text))
+        << "cut " << cut;
+    EXPECT_EQ(common::Crc32cPortable(tail, common::Crc32cPortable(head)),
+              common::Crc32c(text))
+        << "cut " << cut;
+  }
+}
+
+// The hardware and table paths must agree bit for bit at every length and
+// alignment the word loops and byte tails can see.
+TEST(Crc32cTest, HardwareAndPortablePathsAgree) {
+  if (!common::Crc32cHardwareAvailable()) {
+    GTEST_SKIP() << "no SSE4.2 crc32 on this CPU";
+  }
+  Rng rng(97);
+  std::string buf(4096 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const std::string_view view(buf.data() + offset, len);
+      ASSERT_EQ(common::Crc32cHardware(view), common::Crc32cPortable(view))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 }  // namespace

@@ -124,6 +124,28 @@ TEST(NetFuzzTest, BitFlipsAreContained) {
   }
 }
 
+// The frame checksum (CRC32C) detects every burst error of 32 bits or
+// fewer, so *every* damaged payload byte — any position, any nonzero XOR
+// pattern — must be refused as retryable wire loss, never parsed.
+TEST(NetFuzzTest, EverySingleBytePayloadDamageIsRejected) {
+  Rng rng(89);
+  std::string value(200, '\0');
+  for (char& c : value) c = static_cast<char>(rng.Next());
+  const Message valid = PutRequest{42, value}.Encode();
+  const std::string wire = valid.Serialize();
+  for (std::size_t pos = kFrameHeaderBytes; pos < wire.size(); ++pos) {
+    for (unsigned pattern = 1; pattern < 256; ++pattern) {
+      std::string mutated = wire;
+      mutated[pos] = static_cast<char>(
+          static_cast<unsigned char>(mutated[pos]) ^ pattern);
+      const auto parsed = Message::Deserialize(mutated);
+      ASSERT_EQ(parsed.status().code(), StatusCode::kUnavailable)
+          << "payload byte " << pos - kFrameHeaderBytes << " xor "
+          << pattern;
+    }
+  }
+}
+
 TEST(NetFuzzTest, WireReaderNeverOverreads) {
   Rng rng(83);
   for (int round = 0; round < 3000; ++round) {

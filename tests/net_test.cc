@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/time.h"
@@ -256,6 +258,123 @@ TEST(RpcTest, NullClockSkipsTimeAccounting) {
                 });
   LoopbackChannel channel(&server, NetworkModel{}, nullptr);
   EXPECT_TRUE(channel.Call(StatsRequest{}.Encode()).ok());
+}
+
+// --- Loopback accounting parity ----------------------------------------------
+//
+// The loopback hands Messages over without building frames.  Its virtual
+// time and ChannelStats must still be exactly what a serializing transport
+// charges: every figure below is computed from Serialize().size().
+
+/// Returns one fixed verdict for every call.
+class FixedFault final : public CallInterceptor {
+ public:
+  explicit FixedFault(CallFault fault) : fault_(fault) {}
+  CallFault OnCall(std::uint64_t, MsgType) override { return fault_; }
+
+ private:
+  CallFault fault_;
+};
+
+/// One request and the response its handler returns, for every pair of
+/// message types in the protocol.
+std::vector<std::pair<Message, Message>> EveryRequestResponsePair() {
+  MigrateRequest migrate;
+  migrate.records = {{1, std::string(300, 'a')}, {2, "b"}, {3, ""}};
+  EraseRequest erase;
+  erase.keys = {4, 5, 6};
+  return {
+      {GetRequest{7}.Encode(),
+       GetResponse{true, std::string(1000, 'v')}.Encode()},
+      {PutRequest{8, std::string(777, 'p')}.Encode(),
+       PutResponse{true, 12345}.Encode()},
+      {migrate.Encode(), MigrateResponse{3}.Encode()},
+      {erase.Encode(), EraseResponse{2}.Encode()},
+      {StatsRequest{}.Encode(), StatsResponse{10, 20, 30}.Encode()},
+      {RangeStatsRequest{1, 99}.Encode(), RangeStatsResponse{5, 500}.Encode()},
+      {EraseRangeRequest{1, 99}.Encode(), EraseRangeResponse{5}.Encode()},
+      {DigestRequest{1, 99}.Encode(), DigestResponse{0xabcdef, 5}.Encode()},
+  };
+}
+
+TEST(RpcTest, LoopbackAccountingMatchesSerializedFrames) {
+  NetworkModelOptions opts;
+  opts.rtt = Duration::Micros(300);
+  opts.bandwidth_bytes_per_sec = 2e6;
+  const NetworkModel model(opts);
+  const Duration delay = Duration::Millis(7);
+  const CallFault faults[] = {
+      {CallFaultKind::kNone, Duration::Zero()},
+      {CallFaultKind::kDropRequest, Duration::Zero()},
+      {CallFaultKind::kDropResponse, Duration::Zero()},
+      {CallFaultKind::kDelay, delay},
+  };
+
+  for (const auto& [request, response] : EveryRequestResponsePair()) {
+    const std::size_t req_bytes = request.Serialize().size();
+    const std::size_t resp_bytes = response.Serialize().size();
+    const Duration req_time = model.TransferTime(req_bytes);
+    const Duration resp_time = model.TransferTime(resp_bytes);
+    for (const CallFault& fault : faults) {
+      SCOPED_TRACE(std::string(MsgTypeName(request.type)) + " / " +
+                   CallFaultKindName(fault.kind));
+      int handled = 0;
+      RpcServer server;
+      server.Handle(request.type,
+                    [&handled, &response](const Message&) -> StatusOr<Message> {
+                      ++handled;
+                      return response;
+                    });
+      VirtualClock clock;
+      LoopbackChannel channel(&server, model, &clock);
+      FixedFault interceptor(fault);
+      channel.BindInterceptor(&interceptor, /*endpoint=*/1);
+
+      auto out = channel.Call(request);
+      const ChannelStats stats = channel.stats();
+      EXPECT_EQ(stats.calls, 1u);
+      EXPECT_EQ(stats.bytes_sent, req_bytes);
+      EXPECT_EQ(stats.faults_injected,
+                fault.kind == CallFaultKind::kNone ? 0u : 1u);
+      Duration expected = req_time;
+      switch (fault.kind) {
+        case CallFaultKind::kNone:
+        case CallFaultKind::kDelay:
+          expected = req_time + resp_time +
+                     (fault.kind == CallFaultKind::kDelay ? delay
+                                                         : Duration::Zero());
+          ASSERT_TRUE(out.ok()) << out.status().ToString();
+          EXPECT_EQ(out->type, response.type);
+          EXPECT_EQ(out->payload, response.payload);
+          EXPECT_EQ(stats.bytes_received, resp_bytes);
+          EXPECT_EQ(handled, 1);
+          break;
+        case CallFaultKind::kDropRequest:
+        case CallFaultKind::kDropResponse:
+          EXPECT_EQ(out.status().code(), StatusCode::kUnavailable);
+          EXPECT_EQ(stats.bytes_received, 0u);
+          EXPECT_EQ(handled,
+                    fault.kind == CallFaultKind::kDropResponse ? 1 : 0);
+          break;
+      }
+      EXPECT_EQ(clock.now().micros(), expected.micros());
+      EXPECT_EQ(stats.time_on_wire.micros(), expected.micros());
+    }
+  }
+}
+
+TEST(RpcTest, LoopbackRejectsUnknownTagAfterChargingTheRequest) {
+  RpcServer server;
+  VirtualClock clock;
+  const NetworkModel model{};
+  LoopbackChannel channel(&server, model, &clock);
+  const Message bogus{static_cast<MsgType>(200), "xyz"};
+  auto out = channel.Call(bogus);
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  const std::size_t bytes = bogus.Serialize().size();
+  EXPECT_EQ(channel.stats().bytes_sent, bytes);
+  EXPECT_EQ(channel.stats().calls, 1u);
+  EXPECT_EQ(clock.now().micros(), model.TransferTime(bytes).micros());
 }
 
 }  // namespace

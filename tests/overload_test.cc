@@ -227,20 +227,60 @@ TEST(AdmissionQueueTest, DropOldestRevokesWaitingTicket) {
   ASSERT_NE(t3, AdmissionQueue::kRejected);
   EXPECT_EQ(q.depth(), 2u);
 
-  // The revoked leader discovers lazily, at the front of the line.
+  // The revoked leader learns its verdict when it asks for the slot.  The
+  // queue has one service slot, so t3 takes it once t2 is done.
   EXPECT_FALSE(q.StartService(t1));
   EXPECT_TRUE(q.StartService(t2));
+  q.Exit(t2);
   EXPECT_TRUE(q.StartService(t3));
-
-  // With every pending miss already in service there is nothing droppable:
-  // the newcomer is rejected even under kDropOldest.
-  EXPECT_EQ(q.Enter(), AdmissionQueue::kRejected);
 
   const overload::AdmissionStats stats = q.stats();
   EXPECT_EQ(stats.admitted, 3u);
   EXPECT_EQ(stats.dropped, 1u);
-  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.rejected, 0u);
   EXPECT_LE(stats.peak_depth, 2u);
+
+  // With every pending miss already in service there is nothing droppable:
+  // the newcomer is rejected even under kDropOldest.
+  AdmissionQueue one(AdmissionOptions{1, AdmissionPolicy::kDropOldest});
+  const AdmissionQueue::Ticket only = one.Enter();
+  ASSERT_TRUE(one.StartService(only));
+  EXPECT_EQ(one.Enter(), AdmissionQueue::kRejected);
+  EXPECT_EQ(one.stats().rejected, 1u);
+  EXPECT_EQ(one.stats().dropped, 0u);
+}
+
+// The queue models a one-at-a-time service: StartService blocks while the
+// slot is taken, and a waiter revoked meanwhile is woken to shed at once.
+TEST(AdmissionQueueTest, StartServiceWaitsForTheSingleSlot) {
+  using namespace std::chrono_literals;
+  AdmissionQueue q(AdmissionOptions{2, AdmissionPolicy::kDropOldest});
+  const AdmissionQueue::Ticket holder = q.Enter();
+  ASSERT_TRUE(q.StartService(holder));
+  const AdmissionQueue::Ticket waiter = q.Enter();
+  std::atomic<int> verdict{-1};
+  std::thread t([&] { verdict = q.StartService(waiter) ? 1 : 0; });
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(verdict.load(), -1) << "took a slot that was in use";
+  q.Exit(holder);
+  t.join();
+  EXPECT_EQ(verdict.load(), 1);
+
+  // `waiter` now holds the slot; a second waiter is revoked by a newcomer
+  // while it waits.
+  const AdmissionQueue::Ticket victim = q.Enter();
+  std::atomic<int> victim_verdict{-1};
+  std::thread v([&] { victim_verdict = q.StartService(victim) ? 1 : 0; });
+  std::this_thread::sleep_for(20ms);
+  const AdmissionQueue::Ticket newcomer = q.Enter();  // full: revokes victim
+  ASSERT_NE(newcomer, AdmissionQueue::kRejected);
+  v.join();
+  EXPECT_EQ(victim_verdict.load(), 0);
+  EXPECT_EQ(q.stats().dropped, 1u);
+  q.Exit(waiter);
+  EXPECT_TRUE(q.StartService(newcomer));
+  q.Exit(newcomer);
+  EXPECT_EQ(q.depth(), 0u);
 }
 
 // --- Env knobs --------------------------------------------------------------
