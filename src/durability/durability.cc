@@ -67,7 +67,9 @@ Status NodeDurability::Attach(core::CacheNode* node) {
 
   // 1. Snapshot, if any.  A damaged snapshot is never served: fall back to
   //    the WAL alone (whatever was compacted away is lost, which the log
-  //    records loudly).
+  //    records loudly).  One in the retired format is not damage: its
+  //    FailedPrecondition ends the attach before the WAL is opened, so no
+  //    later compaction can write over it.
   auto blob = LoadSnapshotFile(dir_);
   if (blob.ok()) {
     if (Status s = node->RestoreShard(*blob); !s.ok()) return s;

@@ -74,7 +74,9 @@ class NodeDurability final : public core::ShardMutationListener {
 
   /// Recover `node` from disk (snapshot, then WAL replay; a missing or
   /// damaged snapshot falls back to the log alone) and start mirroring its
-  /// mutations.  The node must be empty.
+  /// mutations.  The node must be empty.  A snapshot or WAL in a format
+  /// this build does not read fails the attach (FailedPrecondition or
+  /// InvalidArgument) and leaves both files as they are.
   Status Attach(core::CacheNode* node);
 
   /// Stop mirroring and close the log; on-disk state stays for salvage.

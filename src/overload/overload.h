@@ -33,7 +33,8 @@ struct OverloadOptions {
   /// call clamp or RPC attempt (see DESIGN.md §10).
   Duration query_deadline = Duration::Zero();
 
-  /// Bounded pending-miss queue (queue_limit 0 = unbounded).
+  /// Pending-miss queue in front of the one-at-a-time service slot
+  /// (queue_limit 0 = unbounded).
   AdmissionOptions admission;
 
   /// Circuit breaker around the backing service.
