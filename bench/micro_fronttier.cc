@@ -5,7 +5,7 @@
 // ParallelCoordinator at 1/2/4/8 workers, front tier off vs on.  Every
 // query is a backend hit either way; what the front tier removes is the
 // per-query backend probe (lookup_cost virtual time + the owning node's
-// stripe mutex) for the heavy hitters each worker's tracker promotes.
+// stripe lock) for the heavy hitters each worker's tracker promotes.
 // Throughput is queries per virtual makespan second.  Shape checks gate on
 // (a) front-on beating front-off at every worker count and (b) front-on
 // throughput still scaling with workers — the per-worker caches share no

@@ -76,16 +76,12 @@ ParallelQueryResult ParallelCoordinator::ProcessKeyAs(std::size_t worker,
                                                       Key k) {
   assert(worker < worker_states_.size());
   WorkerState& w = worker_states_[worker];
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
+  w.in_flight.store(1, std::memory_order_relaxed);
   const TimePoint start = w.clock.now();
 
-  {
-    const std::lock_guard<std::mutex> g(window_mutex_);
-    window_.RecordQuery(k);
-  }
-  ++w.queries;
-  total_queries_.fetch_add(1, std::memory_order_relaxed);
-  step_queries_.fetch_add(1, std::memory_order_relaxed);
+  ++w.slice[k];
+  Bump(w.queries);
+  Bump(w.step_queries);
   m_queries_.Inc();
   obs::Emit(trace_, obs::QueryStartEvent(start, k));
 
@@ -99,10 +95,10 @@ ParallelQueryResult ParallelCoordinator::ProcessKeyAs(std::size_t worker,
 
   ParallelQueryResult result;
   // Front tier: the hottest keys answer from this worker's private cache,
-  // skipping the backend probe — and, crucially, the backend's stripe
-  // mutex, which is what saturates under a hot-key storm.  On a front miss
-  // the freshness stamp is captured BEFORE the backend read; Offer()
-  // re-validates it at admission (DESIGN.md §12).
+  // skipping the backend probe — its locks, channel and node dispatch — at
+  // a fraction of the modelled lookup cost.  On a front miss the freshness
+  // stamp is captured BEFORE the backend read; Offer() re-validates it at
+  // admission (DESIGN.md §12).
   fronttier::Stamp pre_read{};
   bool front_hit = false;
   if (w.front != nullptr) {
@@ -110,9 +106,8 @@ ParallelQueryResult ParallelCoordinator::ProcessKeyAs(std::size_t worker,
       w.clock.Advance(opts_.front.hit_cost);
       front_hit = true;
       result.path = QueryPath::kHit;
-      ++w.hits;
-      total_hits_.fetch_add(1, std::memory_order_relaxed);
-      total_front_hits_.fetch_add(1, std::memory_order_relaxed);
+      Bump(w.hits);
+      Bump(w.front_hits);
     } else {
       pre_read = w.front->PreReadStamp(k);
     }
@@ -122,8 +117,7 @@ ParallelQueryResult ParallelCoordinator::ProcessKeyAs(std::size_t worker,
     auto cached = cache_->Get(k);
     if (cached.ok()) {
       result.path = QueryPath::kHit;
-      ++w.hits;
-      total_hits_.fetch_add(1, std::memory_order_relaxed);
+      Bump(w.hits);
       // Hit-path admission only: the value just read is provably
       // consistent with the stamp taken above (miss-path values are not —
       // their own Put moves the version).
@@ -138,13 +132,13 @@ ParallelQueryResult ParallelCoordinator::ProcessKeyAs(std::size_t worker,
       result.path == QueryPath::kStale) {
     // Coalesced and stale count toward the step hit ratio: no service work
     // was done.  Shed answers nothing, so it counts as a (refused) miss.
-    step_hits_.fetch_add(1, std::memory_order_relaxed);
+    Bump(w.step_hits);
   }
 
   result.latency = w.clock.now() - start;
   w.latency_us.Add(static_cast<double>(result.latency.micros()));
-  step_query_time_us_.fetch_add(result.latency.micros(),
-                                std::memory_order_relaxed);
+  Bump(w.step_query_time_us,
+       static_cast<std::uint64_t>(result.latency.micros()));
   obs::QueryOutcomeKind outcome = obs::QueryOutcomeKind::kMiss;
   switch (result.path) {
     case QueryPath::kHit:
@@ -172,7 +166,7 @@ ParallelQueryResult ParallelCoordinator::ProcessKeyAs(std::size_t worker,
     trace_->Append(
         obs::QueryEndEvent(w.clock.now(), k, outcome, result.latency));
   }
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  w.in_flight.store(0, std::memory_order_relaxed);
   return result;
 }
 
@@ -195,8 +189,7 @@ QueryPath ParallelCoordinator::MissPath(WorkerState& w, Key k,
   }
 
   if (!leader) {
-    ++w.coalesced;
-    total_coalesced_.fetch_add(1, std::memory_order_relaxed);
+    Bump(w.coalesced);
     // Block (in real time) until the leader lands the result.  In virtual
     // time the follower is a hit-in-flight: it already paid its probe, and
     // the service work it would have duplicated is charged to the leader.
@@ -271,7 +264,7 @@ QueryPath ParallelCoordinator::MissPath(WorkerState& w, Key k,
         w.clock.Advance(std::min(cost, remaining));
         if (cost > remaining) {
           deadline_exceeded = true;
-          total_deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+          Bump(w.deadline_exceeded);
           m_deadline_.Inc();
           obs::Emit(trace_, obs::DeadlineExceededEvent(w.clock.now(), k,
                                                        cost - remaining));
@@ -283,7 +276,7 @@ QueryPath ParallelCoordinator::MissPath(WorkerState& w, Key k,
           flight.ok = true;
           flight.payload = std::move(invoked->payload);
         } else {
-          total_service_failures_.fetch_add(1, std::memory_order_relaxed);
+          Bump(w.service_failures);
           ECC_LOG_WARN(
               "parallel-coordinator: service failed for key %llu: %s",
               static_cast<unsigned long long>(k),
@@ -298,7 +291,7 @@ QueryPath ParallelCoordinator::MissPath(WorkerState& w, Key k,
           // Injected (or real) service failure: publish the failure to the
           // followers instead of caching an empty payload as if it were an
           // answer.  Only the leader's clock carries the failed call's cost.
-          total_service_failures_.fetch_add(1, std::memory_order_relaxed);
+          Bump(w.service_failures);
           ECC_LOG_WARN(
               "parallel-coordinator: service failed for key %llu: %s",
               static_cast<unsigned long long>(k),
@@ -340,22 +333,18 @@ QueryPath ParallelCoordinator::MissPath(WorkerState& w, Key k,
   promise.set_value(std::move(flight));
 
   if (from_cache) {
-    ++w.hits;
-    total_hits_.fetch_add(1, std::memory_order_relaxed);
+    Bump(w.hits);
     return QueryPath::kHit;
   }
   if (path == QueryPath::kShed) {
-    ++w.shed;
-    total_shed_.fetch_add(1, std::memory_order_relaxed);
+    Bump(w.shed);
     return path;
   }
   if (path == QueryPath::kStale) {
-    ++w.stale;
-    total_stale_.fetch_add(1, std::memory_order_relaxed);
+    Bump(w.stale);
     return path;
   }
-  ++w.misses;
-  total_misses_.fetch_add(1, std::memory_order_relaxed);
+  Bump(w.misses);
   return QueryPath::kMiss;
 }
 
@@ -416,8 +405,9 @@ ParallelBatchReport ParallelCoordinator::RunKeys(
   std::vector<Before> before(n);
   for (std::size_t i = 0; i < n; ++i) {
     const WorkerState& w = worker_states_[i];
-    before[i] = {w.clock.now(), w.queries, w.hits,
-                 w.coalesced,   w.misses,  w.shed, w.stale};
+    before[i] = {w.clock.now(), w.queries.load(), w.hits.load(),
+                 w.coalesced.load(), w.misses.load(), w.shed.load(),
+                 w.stale.load()};
   }
   const std::uint64_t invocations_before = service_->invocations();
 
@@ -439,15 +429,15 @@ ParallelBatchReport ParallelCoordinator::RunKeys(
     const WorkerState& w = worker_states_[i];
     WorkerReport wr;
     wr.worker = i;
-    wr.queries = w.queries - before[i].queries;
+    wr.queries = w.queries.load() - before[i].queries;
     wr.busy = w.clock.now() - before[i].clock;
     wr.p50_us = w.latency_us.Percentile(50);
     wr.p99_us = w.latency_us.Percentile(99);
-    report.hits += w.hits - before[i].hits;
-    report.coalesced += w.coalesced - before[i].coalesced;
-    report.misses += w.misses - before[i].misses;
-    report.shed += w.shed - before[i].shed;
-    report.stale += w.stale - before[i].stale;
+    report.hits += w.hits.load() - before[i].hits;
+    report.coalesced += w.coalesced.load() - before[i].coalesced;
+    report.misses += w.misses.load() - before[i].misses;
+    report.shed += w.shed.load() - before[i].shed;
+    report.stale += w.stale.load() - before[i].stale;
     report.total_query_time += wr.busy;
     if (wr.busy > report.makespan) report.makespan = wr.busy;
     report.workers.push_back(wr);
@@ -456,15 +446,26 @@ ParallelBatchReport ParallelCoordinator::RunKeys(
   return report;
 }
 
+void ParallelCoordinator::FoldWorkerSlices() {
+  for (WorkerState& w : worker_states_) {
+    assert(w.in_flight.load(std::memory_order_relaxed) == 0 &&
+           "folding the window requires a quiesced front-end");
+    if (!w.slice.empty()) window_.MergeIntoCurrent(std::exchange(w.slice, {}));
+  }
+}
+
 TimeStepReport ParallelCoordinator::EndTimeStep() {
-  assert(in_flight_.load(std::memory_order_relaxed) == 0 &&
-         "EndTimeStep requires a quiesced front-end");
+  FoldWorkerSlices();  // asserts quiescence
   TimeStepReport report;
-  report.step_queries =
-      static_cast<std::size_t>(step_queries_.exchange(0));
-  report.step_hits = static_cast<std::size_t>(step_hits_.exchange(0));
+  std::uint64_t step_query_time_us = 0;
+  for (WorkerState& w : worker_states_) {
+    report.step_queries += w.step_queries.exchange(0);
+    report.step_hits += w.step_hits.exchange(0);
+    step_query_time_us += w.step_query_time_us.exchange(0);
+  }
   report.step_misses = report.step_queries - report.step_hits;
-  report.step_query_time = Duration::Micros(step_query_time_us_.exchange(0));
+  report.step_query_time =
+      Duration::Micros(static_cast<std::int64_t>(step_query_time_us));
 
   const SliceExpiry expiry = window_.AdvanceSlice();
 

@@ -23,9 +23,15 @@
 // unless overload protection is on: then its admission queue limits them
 // to the queue's single service slot (overload/admission.h).
 //
-// Lock order (outer to inner): flights/window/spill mutexes are leaves and
-// never nest with each other; backend locks (StripedBackend: topology ->
-// stripe) are acquired only while holding none of ours.
+// A hit touches nothing another worker writes.  Each worker records its
+// queries into its own window slice (folded into the SlidingWindow, in
+// worker order, at the quiesced EndTimeStep) and counts its outcomes in
+// its own cache-line-aligned counters (summed by the total_*() readers);
+// the backend's per-node stripes are shared by readers (striped_backend.h).
+//
+// Lock order (outer to inner): flights/spill mutexes are leaves and never
+// nest with each other; backend locks (StripedBackend: topology -> stripe)
+// are acquired only while holding none of ours.
 #pragma once
 
 #include <atomic>
@@ -199,27 +205,33 @@ class ParallelCoordinator {
   [[nodiscard]] std::uint64_t prewarm_launches() const {
     return prewarm_launches_;
   }
-  /// The window is safe to inspect only while no queries are in flight.
-  [[nodiscard]] const SlidingWindow& window() const { return window_; }
+  /// The window, with every worker's slice folded in.  Call only while no
+  /// queries are in flight.
+  [[nodiscard]] const SlidingWindow& window() {
+    FoldWorkerSlices();
+    return window_;
+  }
 
-  // Cumulative counters; safe to read any time.
+  // Cumulative counters: sums of the per-worker books, safe to read any
+  // time (a read during a batch sees each worker's count at some recent
+  // query boundary).
   [[nodiscard]] std::uint64_t total_queries() const {
-    return total_queries_.load(std::memory_order_relaxed);
+    return Sum(&WorkerState::queries);
   }
   [[nodiscard]] std::uint64_t total_hits() const {
-    return total_hits_.load(std::memory_order_relaxed);
+    return Sum(&WorkerState::hits);
   }
   /// Misses that joined an in-flight computation instead of invoking the
   /// service (counted at registration, before the wait completes).
   [[nodiscard]] std::uint64_t coalesced_hits() const {
-    return total_coalesced_.load(std::memory_order_relaxed);
+    return Sum(&WorkerState::coalesced);
   }
   [[nodiscard]] std::uint64_t total_misses() const {
-    return total_misses_.load(std::memory_order_relaxed);
+    return Sum(&WorkerState::misses);
   }
   /// Queries answered by the front tier (a subset of total_hits()).
   [[nodiscard]] std::uint64_t front_hits() const {
-    return total_front_hits_.load(std::memory_order_relaxed);
+    return Sum(&WorkerState::front_hits);
   }
   /// Worker `i`'s front cache; nullptr unless opts.front.enabled.  Inspect
   /// only while quiesced (the owning worker mutates it per query).
@@ -231,19 +243,19 @@ class ParallelCoordinator {
   /// call's cost and do not re-invoke — and nothing is cached, so the next
   /// query for the key elects a fresh leader.
   [[nodiscard]] std::uint64_t service_failures() const {
-    return total_service_failures_.load(std::memory_order_relaxed);
+    return Sum(&WorkerState::service_failures);
   }
 
   // --- Overload protection ------------------------------------------------
 
   [[nodiscard]] std::uint64_t total_shed() const {
-    return total_shed_.load(std::memory_order_relaxed);
+    return Sum(&WorkerState::shed);
   }
   [[nodiscard]] std::uint64_t total_stale() const {
-    return total_stale_.load(std::memory_order_relaxed);
+    return Sum(&WorkerState::stale);
   }
   [[nodiscard]] std::uint64_t total_deadline_exceeded() const {
-    return total_deadline_exceeded_.load(std::memory_order_relaxed);
+    return Sum(&WorkerState::deadline_exceeded);
   }
   /// nullptr unless overload.enabled && overload.breaker_enabled.
   [[nodiscard]] overload::CircuitBreaker* breaker() { return breaker_.get(); }
@@ -262,20 +274,51 @@ class ParallelCoordinator {
   [[nodiscard]] Histogram MergedLatency() const;
 
  private:
-  struct WorkerState {
+  /// A counter with one writer (the owning worker) and any number of
+  /// readers: a relaxed load + store, no read-modify-write.
+  using Tally = std::atomic<std::uint64_t>;
+  static void Bump(Tally& c, std::uint64_t n = 1) {
+    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  }
+
+  /// Everything one worker writes per query, on cache lines of its own.
+  struct alignas(64) WorkerState {
     VirtualClock clock;
     Histogram latency_us{1.0, 1.15};
-    std::uint64_t queries = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t coalesced = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t stale = 0;
+    /// Queries this worker recorded since the last fold into window_.
+    SlidingWindow::Slice slice;
+    Tally queries{0};
+    Tally hits{0};  ///< front-tier hits included
+    Tally front_hits{0};
+    Tally coalesced{0};
+    Tally misses{0};
+    Tally shed{0};
+    Tally stale{0};
+    Tally deadline_exceeded{0};
+    Tally service_failures{0};
+    // This time step's share of the TimeStepReport (reset at EndTimeStep).
+    Tally step_queries{0};
+    Tally step_hits{0};
+    Tally step_query_time_us{0};
+    /// 1 while a query runs on this worker (the EndTimeStep quiesce check).
+    std::atomic<std::uint32_t> in_flight{0};
     /// This worker's private front cache (null when the tier is off).
     /// Touched only by the worker's own thread mid-batch and by
     /// EndTimeStep at the quiesced boundary — never shared, never locked.
     std::unique_ptr<fronttier::FrontCache> front;
   };
+
+  [[nodiscard]] std::uint64_t Sum(Tally WorkerState::*counter) const {
+    std::uint64_t total = 0;
+    for (const WorkerState& w : worker_states_) {
+      total += (w.*counter).load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+  /// Fold every worker's slice into the window's filling slice, worker 0
+  /// first (quiesced only).
+  void FoldWorkerSlices();
 
   /// What a flight leader publishes to its followers.  `ok == false` means
   /// the service invocation failed: followers must not treat the empty
@@ -305,7 +348,7 @@ class ParallelCoordinator {
   std::vector<WorkerState> worker_states_;
   ThreadPool pool_;
 
-  std::mutex window_mutex_;  ///< guards window_ recording
+  /// Written only at quiesced folds; workers record into their slices.
   SlidingWindow window_;
 
   // Elasticity policy, consulted only at the quiesced boundary.
@@ -342,20 +385,6 @@ class ParallelCoordinator {
   /// Shared invalidation hub when the front tier is on (owned unless
   /// opts_.front.hub supplied an external one).
   std::unique_ptr<fronttier::InvalidationHub> own_hub_;
-
-  std::atomic<std::uint64_t> total_queries_{0};
-  std::atomic<std::uint64_t> total_front_hits_{0};
-  std::atomic<std::uint64_t> total_hits_{0};
-  std::atomic<std::uint64_t> total_coalesced_{0};
-  std::atomic<std::uint64_t> total_misses_{0};
-  std::atomic<std::uint64_t> total_shed_{0};
-  std::atomic<std::uint64_t> total_stale_{0};
-  std::atomic<std::uint64_t> total_deadline_exceeded_{0};
-  std::atomic<std::uint64_t> total_service_failures_{0};
-  std::atomic<std::int64_t> step_query_time_us_{0};
-  std::atomic<std::uint64_t> step_queries_{0};
-  std::atomic<std::uint64_t> step_hits_{0};
-  std::atomic<std::int64_t> in_flight_{0};
 };
 
 }  // namespace ecc::core

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <unordered_set>
+#include <utility>
 
 namespace ecc::core {
 
@@ -32,6 +33,15 @@ SlidingWindow::SlidingWindow(SlidingWindowOptions opts) : opts_(opts) {
 }
 
 void SlidingWindow::RecordQuery(Key k) { ++window_.front()[k]; }
+
+void SlidingWindow::MergeIntoCurrent(Slice&& counts) {
+  Slice& current = window_.front();
+  if (current.empty()) {
+    current = std::move(counts);
+    return;
+  }
+  for (const auto& [k, count] : counts) current[k] += count;
+}
 
 SliceExpiry SlidingWindow::AdvanceSlice() {
   // The filling slice closes and becomes t_1; a fresh filling slice opens.

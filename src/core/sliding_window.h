@@ -46,6 +46,9 @@ struct SliceExpiry {
 
 class SlidingWindow {
  public:
+  /// Query counts of one slice, by key.
+  using Slice = std::unordered_map<Key, std::uint32_t>;
+
   explicit SlidingWindow(SlidingWindowOptions opts);
 
   [[nodiscard]] const SlidingWindowOptions& options() const { return opts_; }
@@ -54,6 +57,13 @@ class SlidingWindow {
 
   /// Record one query for `k` in the current slice t_1.
   void RecordQuery(Key k);
+
+  /// Add counts recorded elsewhere (one worker's private slice) to the
+  /// current slice, as if each query had been RecordQuery'd.  An empty
+  /// current slice takes `counts` whole, so a single recorder leaves the
+  /// exact map RecordQuery would have built — and AdvanceSlice scores its
+  /// keys in the same order.
+  void MergeIntoCurrent(Slice&& counts);
 
   /// Close the current slice and open a new one.  If a slice fell out of
   /// the window, score its keys and report eviction candidates.
@@ -77,8 +87,6 @@ class SlidingWindow {
   void Resize(std::size_t new_slices);
 
  private:
-  using Slice = std::unordered_map<Key, std::uint32_t>;
-
   SlidingWindowOptions opts_;
   double threshold_;
   /// front() = the filling slice, then t_1 (newest completed) ... t_m

@@ -5,6 +5,52 @@
 
 namespace ecc::core {
 
+StripeLock::StripeLock() {
+  pthread_rwlockattr_t attr;
+  pthread_rwlockattr_init(&attr);
+#ifdef __GLIBC__
+  pthread_rwlockattr_setkind_np(&attr,
+                                PTHREAD_RWLOCK_PREFER_WRITER_NONRECURSIVE_NP);
+#endif
+  pthread_rwlock_init(&lock_, &attr);
+  pthread_rwlockattr_destroy(&attr);
+}
+
+StripeLock::~StripeLock() { pthread_rwlock_destroy(&lock_); }
+
+namespace {
+
+/// Try `acquire` up to kSpinTries times, pausing between tries.
+template <class Acquire>
+bool SpinFor(Acquire acquire) {
+  constexpr int kSpinTries = 256;  // ~10 us of pause + try on a Xeon VM
+  for (int i = 0; i < kSpinTries; ++i) {
+    if (acquire()) return true;
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+  }
+  return false;
+}
+
+}  // namespace
+
+void StripeLock::lock() {
+  if (SpinFor([this] { return pthread_rwlock_trywrlock(&lock_) == 0; })) {
+    return;
+  }
+  pthread_rwlock_wrlock(&lock_);
+}
+
+void StripeLock::lock_shared() {
+  if (SpinFor([this] { return pthread_rwlock_tryrdlock(&lock_) == 0; })) {
+    return;
+  }
+  pthread_rwlock_rdlock(&lock_);
+}
+
 StripedBackend::StripedBackend(ElasticCache* inner, std::size_t stripes)
     : inner_(inner), stripes_(stripes == 0 ? 1 : stripes) {
   assert(inner_ != nullptr);
@@ -19,7 +65,8 @@ StatusOr<std::string> StripedBackend::Get(Key k) {
   if (!owner.ok()) return owner.status();
   // Ownership cannot change while the topology lock is held shared, so the
   // stripe we pick stays the right one for the duration of the call.
-  const std::lock_guard<std::mutex> stripe(StripeFor(*owner));
+  // Reads of one node share its stripe; only a Put excludes them.
+  const std::shared_lock<StripeLock> stripe(StripeFor(*owner));
   return inner_->Get(k);
 }
 
@@ -31,7 +78,7 @@ StatusOr<std::string> StripedBackend::GetStale(Key k) {
   std::shared_lock<std::shared_mutex> topo(topology_mutex_);
   auto owner = inner_->OwnerOf(k);
   if (!owner.ok()) return owner.status();
-  const std::lock_guard<std::mutex> stripe(StripeFor(*owner));
+  const std::shared_lock<StripeLock> stripe(StripeFor(*owner));
   return inner_->GetStale(k);
 }
 
@@ -40,7 +87,7 @@ Status StripedBackend::Put(Key k, std::string v) {
     std::shared_lock<std::shared_mutex> topo(topology_mutex_);
     auto owner = inner_->OwnerOf(k);
     if (!owner.ok()) return owner.status();
-    const std::lock_guard<std::mutex> stripe(StripeFor(*owner));
+    const std::lock_guard<StripeLock> stripe(StripeFor(*owner));
     const Status fast = inner_->PutNoSplit(k, v);
     if (fast.code() != StatusCode::kCapacityExceeded &&
         fast.code() != StatusCode::kUnavailable) {

@@ -9,23 +9,35 @@
 //     path, and *exclusively* by anything that can change the ring, the
 //     fleet, or cross-node state (splits, contraction, eviction, aggregate
 //     inspection);
-//   * per-node stripe mutexes — a Get or no-split Put locks only the stripe
-//     of the key's owning node, so requests to different nodes proceed in
-//     parallel.
+//   * per-node reader/writer stripes — Get and GetStale take the stripe of
+//     the key's owning node *shared*, a no-split Put takes it *exclusive*.
+//     Requests to different nodes proceed in parallel, and so do reads of
+//     one node: the read path (ring lookup, loopback channel, RpcServer
+//     dispatch, B+-Tree Find) mutates nothing but atomics.
 //
-// Put runs two-phase: first PutNoSplit under shared-topology + stripe (the
-// common case once the fleet is warm); if the owner is full it retries
-// through the full GBA insert under the exclusive topology lock, where
-// splitting and allocation are safe.
+// Writer progress: a reader/writer lock that lets readers in whenever no
+// writer *holds* it (glibc's std::shared_mutex) starves a writer on a node
+// that readers keep busy — a Put on a hot node would wait as long as the
+// hit storm lasts.  The stripes therefore prefer a *waiting* writer: once
+// one queues, new readers wait behind it (StripeLock).
+//
+// Put runs two-phase: first PutNoSplit under shared-topology + exclusive
+// stripe (the common case once the fleet is warm); if the owner is full it
+// retries through the full GBA insert under the exclusive topology lock,
+// where splitting and allocation are safe.
 //
 // Lock order (outer to inner): topology -> node stripe.  (The wrapped
 // cache's counters are lock-free registry cells, so there is no inner
-// stats lock anymore.)  Never acquire a stripe before the topology lock.
+// stats lock anymore.)  Never acquire a stripe before the topology lock,
+// and never take a stripe twice on one thread: a waiting writer blocks the
+// second shared acquisition.
 //
 // Requirements on the wrapped cache: replicas == 1 (fast paths touch only
 // the owner node) — asserted at construction.  Proactive splits are fine:
 // they only trigger inside the full Put, which runs exclusively.
 #pragma once
+
+#include <pthread.h>
 
 #include <cstddef>
 #include <mutex>
@@ -36,6 +48,29 @@
 #include "core/elastic_cache.h"
 
 namespace ecc::core {
+
+/// A reader/writer lock that admits a waiting writer before new readers
+/// (see the writer-progress note above).  A contended acquire spins
+/// briefly (a few microseconds, about one stripe hold) before it sleeps:
+/// waking a sleeper costs a virtual CPU far more than that, and it is what
+/// a miss — a read, then a write, of one node that another client is
+/// using — would otherwise pay.  Meets the SharedMutex requirements
+/// std::shared_lock and std::unique_lock need.
+class StripeLock {
+ public:
+  StripeLock();
+  ~StripeLock();
+  StripeLock(const StripeLock&) = delete;
+  StripeLock& operator=(const StripeLock&) = delete;
+
+  void lock();
+  void unlock() { pthread_rwlock_unlock(&lock_); }
+  void lock_shared();
+  void unlock_shared() { pthread_rwlock_unlock(&lock_); }
+
+ private:
+  pthread_rwlock_t lock_;
+};
 
 class StripedBackend final : public CacheBackend {
  public:
@@ -94,13 +129,13 @@ class StripedBackend final : public CacheBackend {
   [[nodiscard]] std::size_t stripe_count() const { return stripes_.size(); }
 
  private:
-  [[nodiscard]] std::mutex& StripeFor(NodeId owner) const {
+  [[nodiscard]] StripeLock& StripeFor(NodeId owner) const {
     return stripes_[static_cast<std::size_t>(owner) % stripes_.size()];
   }
 
   ElasticCache* inner_;
   mutable std::shared_mutex topology_mutex_;
-  mutable std::vector<std::mutex> stripes_;
+  mutable std::vector<StripeLock> stripes_;
 };
 
 }  // namespace ecc::core

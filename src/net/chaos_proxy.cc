@@ -31,6 +31,9 @@ constexpr std::size_t kTrackerMaxFrame = 256u * 1024u * 1024u;
 /// Upstream connect wait; the relay thread blocks here, which is fine —
 /// chaos scenarios dial a handful of connections, not thousands.
 constexpr int kDialTimeoutMs = 2000;
+/// EPOLLIN as the unsigned type of epoll_event::events, so a conditional
+/// that picks it or 0u does not mix an enumerator with an integer.
+constexpr std::uint32_t kReadInterest = EPOLLIN;
 
 void SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
@@ -294,10 +297,10 @@ void ChaosProxy::AcceptPending() {
 
     epoll_event ev{};
     ev.data.fd = client_fd;
-    ev.events = DirectionPartitioned(conn->up) ? 0 : EPOLLIN;
+    ev.events = DirectionPartitioned(conn->up) ? 0u : kReadInterest;
     (void)epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, client_fd, &ev);
     ev.data.fd = upstream_fd;
-    ev.events = DirectionPartitioned(conn->down) ? 0 : EPOLLIN;
+    ev.events = DirectionPartitioned(conn->down) ? 0u : kReadInterest;
     (void)epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, upstream_fd, &ev);
 
     by_fd_[client_fd] = conn.get();
@@ -633,7 +636,7 @@ void ChaosProxy::SetReadInterest(Leg& leg, bool enabled) {
   if (!leg.src_open) return;
   epoll_event ev{};
   ev.data.fd = leg.src;
-  ev.events = enabled ? EPOLLIN : 0;
+  ev.events = enabled ? kReadInterest : 0u;
   (void)epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, leg.src, &ev);
 }
 

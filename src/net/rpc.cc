@@ -21,21 +21,34 @@ LoopbackChannel::LoopbackChannel(RpcServer* server, NetworkModel model,
                                  VirtualClock* clock)
     : server_(server), model_(model), clock_(clock) {}
 
+ChannelStats LoopbackChannel::stats() const {
+  ChannelStats s;
+  s.calls = calls_.load(std::memory_order_relaxed);
+  s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
+  s.bytes_received = bytes_received_.load(std::memory_order_relaxed);
+  s.faults_injected = faults_injected_.load(std::memory_order_relaxed);
+  s.time_on_wire =
+      Duration::Micros(wire_micros_.load(std::memory_order_relaxed));
+  return s;
+}
+
 StatusOr<Message> LoopbackChannel::Call(const Message& request) {
   const CallFault fault = NextFault(request.type);
-  if (fault.kind != CallFaultKind::kNone) ++stats_.faults_injected;
+  if (fault.kind != CallFaultKind::kNone) {
+    faults_injected_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   // "Transmit" the request: charge the bytes its frame would occupy.
   const std::size_t request_bytes = request.WireSize();
   const Duration request_time = model_.TransferTime(request_bytes);
   if (clock_ != nullptr) clock_->Advance(request_time);
-  stats_.bytes_sent += request_bytes;
-  ++stats_.calls;
-  stats_.time_on_wire += request_time;
+  bytes_sent_.fetch_add(request_bytes, std::memory_order_relaxed);
+  calls_.fetch_add(1, std::memory_order_relaxed);
+  wire_micros_.fetch_add(request_time.micros(), std::memory_order_relaxed);
 
   if (fault.kind == CallFaultKind::kDelay) {
     if (clock_ != nullptr) clock_->Advance(fault.delay);
-    stats_.time_on_wire += fault.delay;
+    wire_micros_.fetch_add(fault.delay.micros(), std::memory_order_relaxed);
   }
   if (fault.kind == CallFaultKind::kDropRequest) {
     // The bytes left the sender but never arrived; the caller learns of the
@@ -60,8 +73,8 @@ StatusOr<Message> LoopbackChannel::Call(const Message& request) {
   const std::size_t response_bytes = response->WireSize();
   const Duration response_time = model_.TransferTime(response_bytes);
   if (clock_ != nullptr) clock_->Advance(response_time);
-  stats_.bytes_received += response_bytes;
-  stats_.time_on_wire += response_time;
+  bytes_received_.fetch_add(response_bytes, std::memory_order_relaxed);
+  wire_micros_.fetch_add(response_time.micros(), std::memory_order_relaxed);
   return response;  // moved out, never copied
 }
 

@@ -25,17 +25,21 @@
 // idempotent (PUT/MIGRATE treat duplicates as accepted; ERASE of an absent
 // key is a no-op).
 //
-// Thread-safety: a LoopbackChannel is NOT internally synchronized — Call
-// mutates the per-channel stats, and the server's handlers mutate whatever
-// state they are bound to (a CacheNode's shard).  Concurrent callers must
-// serialize per channel/endpoint; the striped backend does this with one
-// stripe mutex per cache node, so a node's channel and shard are only ever
-// driven by the stripe holder.  The clock pointer is safe to share (the
-// VirtualClock is atomic); an interceptor must be internally synchronized
-// (FaultInjector is).  Real transports (socket_channel.h, tcp_channel.h)
-// are internally synchronized and take concurrent callers directly.
+// Thread-safety: a LoopbackChannel takes concurrent callers — its stats
+// are relaxed atomics, as on the real transports — but the server's
+// handlers touch whatever state they are bound to (a CacheNode's shard)
+// without locks.  GET is read-only apart from atomic counters
+// (RpcServer::Dispatch and the B+-Tree Find are const), so any number of
+// reads of one node may run together; a mutating call (PUT, MIGRATE,
+// ERASE, ...) needs the node to itself.  The striped backend enforces this
+// with one reader/writer stripe per cache node (striped_backend.h).  The
+// clock pointer is safe to share (the VirtualClock is atomic); an
+// interceptor must be internally synchronized (FaultInjector is).  Real
+// transports (socket_channel.h, tcp_channel.h) are internally synchronized
+// and take concurrent callers directly.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -77,7 +81,7 @@ class LoopbackChannel final : public Channel {
   /// the protocol does not define, as a frame parser would answer.
   [[nodiscard]] StatusOr<Message> Call(const Message& request) override;
 
-  [[nodiscard]] ChannelStats stats() const override { return stats_; }
+  [[nodiscard]] ChannelStats stats() const override;
   [[nodiscard]] const NetworkModel& model() const { return model_; }
   [[nodiscard]] VirtualClock* clock() const override { return clock_; }
 
@@ -85,7 +89,13 @@ class LoopbackChannel final : public Channel {
   RpcServer* server_;
   NetworkModel model_;
   VirtualClock* clock_;
-  ChannelStats stats_;
+  // Relaxed atomics, as on the real transports: concurrent readers of one
+  // node share this channel.
+  std::atomic<std::uint64_t> calls_{0};
+  std::atomic<std::uint64_t> bytes_sent_{0};
+  std::atomic<std::uint64_t> bytes_received_{0};
+  std::atomic<std::uint64_t> faults_injected_{0};
+  std::atomic<std::int64_t> wire_micros_{0};
 };
 
 /// Timeout + bounded-exponential-backoff policy for CallWithRetry.

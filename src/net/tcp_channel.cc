@@ -8,6 +8,8 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstring>
+#include <string>
 #include <thread>
 
 #include "net/framing.h"
@@ -15,6 +17,77 @@
 namespace ecc::net {
 
 namespace {
+
+/// Payload bytes the first response read() takes along with the header:
+/// enough for a GET answer carrying a record of a few KiB.
+constexpr std::size_t kInlinePayloadBytes = 4096;
+
+Status LostRead(framing::IoResult r, const char* what,
+                framing::IoResult* io_fail) {
+  *io_fail = r;
+  return Status::Unavailable(r == framing::IoResult::kTimeout
+                                 ? "read timed out"
+                                 : what);
+}
+
+/// Read one response frame, usually with a single read(): a pooled
+/// connection carries one call at a time, so this response is the only
+/// thing in flight on it.  Statuses and `io_fail` are framing::ReadFrame's;
+/// bytes past an intact frame are InvalidArgument, so the caller closes the
+/// connection instead of pooling a stream it cannot trust.
+StatusOr<Message> ReadResponse(int fd, std::size_t max_frame_bytes,
+                               framing::IoResult* io_fail) {
+  *io_fail = framing::IoResult::kOk;
+  char buf[kFrameHeaderBytes + kInlinePayloadBytes];
+  ssize_t r = 0;
+  do {
+    r = ::read(fd, buf, sizeof(buf));
+  } while (r < 0 && errno == EINTR);
+  if (r == 0) {
+    *io_fail = framing::IoResult::kEof;
+    return Status::NotFound("connection closed");
+  }
+  if (r < 0) {
+    return LostRead(errno == EAGAIN || errno == EWOULDBLOCK
+                        ? framing::IoResult::kTimeout
+                        : framing::IoResult::kError,
+                    "read failed", io_fail);
+  }
+  std::size_t got = static_cast<std::size_t>(r);
+  if (got < kFrameHeaderBytes) {
+    const framing::IoResult h =
+        framing::ReadFull(fd, buf + got, kFrameHeaderBytes - got);
+    if (h != framing::IoResult::kOk) {
+      // Part of the header already arrived, so EOF here is a torn frame.
+      return LostRead(h == framing::IoResult::kEof ? framing::IoResult::kError
+                                                   : h,
+                      "read failed", io_fail);
+    }
+    got = kFrameHeaderBytes;
+  }
+  std::uint32_t len = 0;
+  if (Status s = ValidateFrameHeader(buf, max_frame_bytes, &len); !s.ok()) {
+    return s;
+  }
+  const std::size_t frame = kFrameHeaderBytes + len;
+  if (got > frame) {
+    // A length field damaged on the wire fails the frame's checksum, which
+    // is retryable loss like any other corruption; an intact frame with
+    // bytes after it means the stream is out of step with the calls.
+    auto parsed = Message::Deserialize(std::string_view(buf, frame));
+    if (!parsed.ok()) return parsed.status();
+    return Status::InvalidArgument("bytes past the response frame");
+  }
+  if (got == frame) return Message::Deserialize(std::string_view(buf, frame));
+  std::string wire(frame, '\0');
+  std::memcpy(wire.data(), buf, got);
+  const framing::IoResult rest =
+      framing::ReadFull(fd, wire.data() + got, frame - got);
+  if (rest != framing::IoResult::kOk) {
+    return LostRead(rest, "truncated frame", io_fail);
+  }
+  return Message::Deserialize(wire);
+}
 
 void SetIoTimeout(int fd, Duration timeout) {
   if (timeout <= Duration::Zero()) return;
@@ -246,7 +319,7 @@ StatusOr<Message> TcpChannel::RoundTrip(int fd, const Message& request,
     *io_fail = wrote;
     return Status::Unavailable("write failed");
   }
-  auto response = framing::ReadFrame(fd, opts_.max_frame_bytes, io_fail);
+  auto response = ReadResponse(fd, opts_.max_frame_bytes, io_fail);
   const auto wire_us = std::chrono::duration_cast<std::chrono::microseconds>(
                            std::chrono::steady_clock::now() - wire_start)
                            .count();

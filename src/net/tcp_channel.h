@@ -5,7 +5,8 @@
 // pool of real kernel connections.  Call() borrows an idle connection —
 // opening one when the pool is dry — writes the framed request, blocks for
 // the framed response under a wall-clock IO timeout, and returns the
-// connection to the pool.  Concurrent callers each borrow their own
+// connection to the pool.  A response of up to 4 KiB of payload is read
+// with one read(); anything after the frame closes the connection.  Concurrent callers each borrow their own
 // connection, so calls genuinely overlap on the wire (beng-proxy's `stock`
 // idiom: a keyed stock of reusable connections, borrowed per request).
 //

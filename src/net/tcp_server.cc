@@ -228,7 +228,7 @@ void TcpServer::RunIoLoop(IoLoop& loop) {
           ev.events = EPOLLIN;
           ev.data.fd = conn_fd;
           if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, conn_fd, &ev) == 0) {
-            loop.conns[conn_fd] = Connection{conn_fd, {}, {}, 0};
+            loop.conns[conn_fd] = Connection{conn_fd, {}, {}, 0, false};
           } else {
             ::close(conn_fd);
             connections_closed_.fetch_add(1, std::memory_order_relaxed);
@@ -255,12 +255,15 @@ void TcpServer::RunIoLoop(IoLoop& loop) {
 }
 
 bool TcpServer::HandleReadable(IoLoop& loop, Connection& conn) {
-  // Pull everything the kernel has for us.
+  // Read until a short read: the socket is level-triggered, so bytes that
+  // land after it are reported again, and probing for EAGAIN would cost a
+  // syscall per request.
   char chunk[kReadChunk];
   for (;;) {
     const ssize_t r = ::read(conn.fd, chunk, sizeof(chunk));
     if (r > 0) {
       conn.in.append(chunk, static_cast<std::size_t>(r));
+      if (static_cast<std::size_t>(r) < sizeof(chunk)) break;
       continue;
     }
     if (r == 0) return false;  // peer closed
@@ -313,16 +316,21 @@ bool TcpServer::FlushWrites(IoLoop& loop, Connection& conn) {
     }
     conn.out_off += static_cast<std::size_t>(w);
   }
-  epoll_event ev{};
-  ev.data.fd = conn.fd;
-  if (conn.out_off >= conn.out.size()) {
+  const bool want_out = conn.out_off < conn.out.size();
+  if (!want_out) {
     conn.out.clear();
     conn.out_off = 0;
-    ev.events = EPOLLIN;
-  } else {
-    ev.events = EPOLLIN | EPOLLOUT;  // more to write when the pipe drains
   }
-  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
+  // Re-arm only when EPOLLOUT interest changes: a response written whole
+  // (the common case) costs no epoll_ctl.
+  if (want_out != conn.want_out) {
+    epoll_event ev{};
+    ev.data.fd = conn.fd;
+    // EPOLLOUT: more to write when the pipe drains.
+    ev.events = want_out ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
+    ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
+    conn.want_out = want_out;
+  }
   return true;
 }
 

@@ -12,10 +12,11 @@
 //     epoll, accepts non-blocking, and hands each new connection to an IO
 //     loop round-robin through an eventfd-signaled inbox;
 //   * `io_threads` IO loops each run epoll_wait over their connections
-//     with edge-level read/write readiness: reads accumulate into a
-//     per-connection buffer until at least one complete frame is present,
+//     with level-triggered read/write readiness: reads accumulate into a
+//     per-connection buffer until at least one complete frame is present
+//     (a short read ends the pass; later bytes wake the loop again),
 //     writes drain a pending-output buffer and arm EPOLLOUT only while
-//     output remains.
+//     output remains (re-armed only when that changes).
 //
 // Frame hardening: headers are validated (known tag, bounded length)
 // before any payload allocation; a connection that sends a malformed
@@ -100,6 +101,7 @@ class TcpServer {
     std::string in;        ///< bytes read, not yet framed
     std::string out;       ///< response bytes not yet written
     std::size_t out_off = 0;
+    bool want_out = false;  ///< EPOLLOUT is armed (output is pending)
   };
 
   /// One IO loop: an epoll set, an eventfd to interrupt epoll_wait, and an

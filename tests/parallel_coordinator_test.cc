@@ -1,22 +1,27 @@
 // Tests for the multi-threaded query front-end: single-flight determinism
 // (K concurrent misses on one key -> exactly one service invocation),
-// coalescing accounting, batch reports, virtual-time scaling, and the
-// quiesced time-step machinery.
+// coalescing accounting, batch reports, virtual-time scaling, the
+// quiesced time-step machinery, the per-worker window slices against a
+// directly fed SlidingWindow, and totals read while workers run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "cloudsim/provider.h"
 #include "core/elastic_cache.h"
 #include "core/parallel_coordinator.h"
+#include "core/sliding_window.h"
 #include "core/striped_backend.h"
+#include "policy/policy.h"
 #include "service/service.h"
 
 namespace ecc::core {
@@ -438,6 +443,189 @@ TEST(ParallelCoordinatorTest, WorkerHistogramsRecordLatencies) {
   EXPECT_LE(merged.min(), 100.0);  // a hit
   EXPECT_GT(f.coordinator.WorkerTime(0).micros(), 0);
   EXPECT_GT(f.coordinator.WorkerTime(1).micros(), 0);
+}
+
+/// Evicts exactly the decay candidates, as the paper's rule does, and
+/// keeps each boundary's candidate list in the order it was handed over.
+class RecordingPolicy final : public policy::ElasticityPolicy {
+ public:
+  [[nodiscard]] std::string Name() const override { return "recording"; }
+  [[nodiscard]] std::vector<Key> SelectEvictions(
+      const std::vector<Key>& decay_candidates,
+      const policy::PolicyContext& /*ctx*/) override {
+    evicted.push_back(decay_candidates);
+    return decay_candidates;
+  }
+  [[nodiscard]] bool ShouldContract(
+      const policy::PolicyContext& /*ctx*/) override {
+    return false;
+  }
+
+  std::vector<std::vector<Key>> evicted;  ///< one entry per EndTimeStep
+};
+
+ParallelCoordinatorOptions WindowOptions(policy::ElasticityPolicy* policy) {
+  ParallelCoordinatorOptions copts;
+  copts.window.slices = 3;
+  copts.window.alpha = 0.9;
+  copts.contraction_epsilon = 0;
+  copts.policy = policy;
+  return copts;
+}
+
+/// Step `step`'s queries: keys drift upward, so a key leaves the stream
+/// for good and is evicted once its last slice expires; repeats within a
+/// step give counts above one.
+std::vector<Key> StepKeys(std::size_t step, std::size_t n) {
+  std::vector<Key> keys;
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL * (step + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    keys.push_back(static_cast<Key>(step * 16 + (x >> 33) % 48));
+  }
+  return keys;
+}
+
+// One worker: the folded window is the window the worker's queries would
+// have built directly — same counts, same scores, and the same eviction
+// candidates in the same order at every boundary.
+TEST(ParallelCoordinatorTest, OneWorkerWindowMatchesDirectSlidingWindow) {
+  RecordingPolicy recorder;
+  const ParallelCoordinatorOptions copts = WindowOptions(&recorder);
+  Fixture f(/*workers=*/1, nullptr, copts);
+  SlidingWindow reference(copts.window);
+  std::vector<std::vector<Key>> reference_evicted;
+
+  constexpr std::size_t kSteps = 8;
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    for (const Key k : StepKeys(step, 60)) {
+      (void)f.coordinator.ProcessKeyAs(0, k);
+      reference.RecordQuery(k);
+    }
+    (void)f.coordinator.EndTimeStep();
+    reference_evicted.push_back(reference.AdvanceSlice().evicted);
+  }
+  // Part of a step that is still filling, read through window().
+  for (const Key k : StepKeys(kSteps, 20)) {
+    (void)f.coordinator.ProcessKeyAs(0, k);
+    reference.RecordQuery(k);
+  }
+
+  ASSERT_EQ(recorder.evicted.size(), kSteps);
+  std::size_t evicted = 0;
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    EXPECT_EQ(recorder.evicted[step], reference_evicted[step])
+        << "boundary " << step;
+    evicted += reference_evicted[step].size();
+  }
+  EXPECT_GT(evicted, 0u);
+  const SlidingWindow& window = f.coordinator.window();
+  ASSERT_EQ(window.ActiveSlices(), reference.ActiveSlices());
+  for (Key k = 0; k < (kSteps + 1) * 16 + 48; ++k) {
+    for (std::size_t i = 1; i <= reference.ActiveSlices(); ++i) {
+      EXPECT_EQ(window.CountInSlice(k, i), reference.CountInSlice(k, i))
+          << "key " << k << " slice " << i;
+    }
+    EXPECT_EQ(window.Lambda(k), reference.Lambda(k)) << "key " << k;
+  }
+}
+
+struct WindowRun {
+  std::vector<TimeStepReport> reports;
+  std::vector<std::vector<Key>> evicted;
+};
+
+bool SameReport(const TimeStepReport& a, const TimeStepReport& b) {
+  return a.step_queries == b.step_queries && a.step_hits == b.step_hits &&
+         a.step_misses == b.step_misses &&
+         a.step_query_time == b.step_query_time && a.evicted == b.evicted &&
+         a.spilled == b.spilled && a.contracted == b.contracted &&
+         a.window_slices == b.window_slices;
+}
+
+/// Four workers through RunKeys over a preloaded cache (every query hits,
+/// so no worker's virtual time depends on how the threads interleave).
+/// Checks each batch's slice-1 counts against the per-key sums.
+WindowRun RunFourWorkerSteps() {
+  RecordingPolicy recorder;
+  Fixture f(/*workers=*/4, nullptr, WindowOptions(&recorder));
+  constexpr std::size_t kSteps = 8;
+  for (Key k = 0; k < kSteps * 16 + 48; ++k) {
+    EXPECT_TRUE(f.striped.Put(k, std::string(100, 'w')).ok());
+  }
+  WindowRun run;
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    const std::vector<Key> keys = StepKeys(step, 200);
+    const ParallelBatchReport batch = f.coordinator.RunKeys(keys);
+    EXPECT_EQ(batch.hits, keys.size());
+    std::unordered_map<Key, std::uint32_t> expect;
+    for (const Key k : keys) ++expect[k];
+    const SlidingWindow& window = f.coordinator.window();
+    for (const auto& [k, count] : expect) {
+      EXPECT_EQ(window.CountInSlice(k, 1), count) << "key " << k;
+    }
+    run.reports.push_back(f.coordinator.EndTimeStep());
+  }
+  run.evicted = recorder.evicted;
+  return run;
+}
+
+// N workers: the window holds every worker's counts, and the boundary's
+// eviction order no longer depends on thread scheduling.
+TEST(ParallelCoordinatorTest, RunKeysWindowCountsAndReportsRepeat) {
+  const WindowRun first = RunFourWorkerSteps();
+  const WindowRun second = RunFourWorkerSteps();
+  ASSERT_EQ(first.reports.size(), second.reports.size());
+  std::size_t evicted = 0;
+  for (std::size_t i = 0; i < first.reports.size(); ++i) {
+    EXPECT_TRUE(SameReport(first.reports[i], second.reports[i]))
+        << "boundary " << i;
+    evicted += first.reports[i].evicted;
+  }
+  EXPECT_GT(evicted, 0u);
+  EXPECT_EQ(first.evicted, second.evicted);
+}
+
+// The totals are sums of per-worker books that their workers keep writing;
+// a reader polling them mid-batch sees each total only grow, and the final
+// sums reconcile with the batch.
+TEST(ParallelCoordinatorTest, TotalsReadableWhileWorkersRun) {
+  Fixture f(/*workers=*/4);
+  for (Key k = 0; k < 64; ++k) {
+    ASSERT_TRUE(f.striped.Put(k, std::string(100, 'w')).ok());
+  }
+  std::vector<Key> stream;
+  for (std::size_t i = 0; i < 20000; ++i) stream.push_back(i % 64);
+
+  std::atomic<bool> done{false};
+  std::uint64_t polls = 0;
+  bool monotone = true;
+  std::thread poller([&] {
+    std::uint64_t last_queries = 0;
+    std::uint64_t last_hits = 0;
+    while (!done.load()) {
+      const std::uint64_t queries = f.coordinator.total_queries();
+      const std::uint64_t hits = f.coordinator.total_hits();
+      monotone = monotone && queries >= last_queries && hits >= last_hits;
+      last_queries = queries;
+      last_hits = hits;
+      ++polls;
+    }
+  });
+  const ParallelBatchReport report = f.coordinator.RunKeys(stream);
+  done.store(true);
+  poller.join();
+
+  EXPECT_GT(polls, 0u);
+  EXPECT_TRUE(monotone);
+  EXPECT_EQ(report.hits, stream.size());
+  EXPECT_EQ(f.coordinator.total_queries(), stream.size());
+  EXPECT_EQ(f.coordinator.total_hits(), stream.size());
+  EXPECT_EQ(f.coordinator.total_misses() + f.coordinator.coalesced_hits(),
+            0u);
+  const TimeStepReport step = f.coordinator.EndTimeStep();
+  EXPECT_EQ(step.step_queries, stream.size());
+  EXPECT_EQ(step.step_hits, stream.size());
 }
 
 }  // namespace

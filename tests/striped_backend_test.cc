@@ -1,9 +1,14 @@
 // Tests for the striped thread-safe backend: sequential parity with the
 // bare elastic cache, the no-split fast path + exclusive split fallback,
-// and concurrent access smoke (the heavy interleavings live in
-// parallel_stress_test.cc, which the TSan CI job gates).
+// concurrent access smoke, and writer progress on a node that readers keep
+// busy (the heavy interleavings live in parallel_stress_test.cc, which the
+// TSan CI job gates).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +17,7 @@
 #include "core/elastic_cache.h"
 #include "core/striped_backend.h"
 #include "core/types.h"
+#include "net/rpc.h"
 
 namespace ecc::core {
 namespace {
@@ -124,6 +130,138 @@ TEST(StripedBackendTest, ConcurrentDisjointPutsAllLand) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(f.striped.TotalRecords(), kThreads * kPerThread);
   EXPECT_EQ(f.striped.stats().puts, kThreads * kPerThread);
+}
+
+// Readers of one node share its stripe, but a writer queued on it must
+// still get in: N threads loop Get over one node's keys while one writer
+// lands K no-split Puts on the same node.  A lock that admits new readers
+// past a waiting writer would park the writer for as long as the readers
+// run, so the writer gets a deadline; the readers stop at that deadline
+// either way, so a starved writer fails the test instead of hanging it.
+TEST(StripedBackendTest, WriterProgressesWhileReadersShareTheStripe) {
+  constexpr std::size_t kReaders = 4;
+  constexpr std::size_t kPreloaded = 64;
+  constexpr std::size_t kWrites = 200;
+  VirtualClock clock;
+  cloudsim::CloudProvider provider(
+      [] {
+        cloudsim::CloudOptions o;
+        o.boot_mean = Duration::Seconds(60);
+        o.seed = 7;
+        return o;
+      }(),
+      &clock);
+  // One node, sized so no write splits: every key shares one stripe, and
+  // every Get and Put is exactly one call on the node's channel.
+  net::LoopbackChannel* channel = nullptr;
+  ElasticCacheOptions o;
+  o.node_capacity_bytes = 4 * (kPreloaded + kWrites) * RecordSize(0, Val(0));
+  o.ring.range = kKeyspace;
+  o.channel_factory = [&channel, &o](NodeId, net::RpcServer* server,
+                                     VirtualClock* c)
+      -> std::unique_ptr<net::Channel> {
+    auto made = std::make_unique<net::LoopbackChannel>(
+        server, net::NetworkModel(o.net), c);
+    if (c != nullptr) channel = made.get();  // the foreground channel
+    return made;
+  };
+  ElasticCache cache(o, &provider, &clock);
+  StripedBackend striped(&cache, /*stripes=*/8);
+  ASSERT_EQ(striped.NodeCount(), 1u);
+  ASSERT_NE(channel, nullptr);
+  for (Key k = 0; k < kPreloaded; ++k) ASSERT_TRUE(striped.Put(k, Val(k)).ok());
+  const std::uint64_t calls_before = channel->stats().calls;
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> readers_started{0};
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> wrong{0};
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      readers_started.fetch_add(1);
+      std::uint64_t n = 0;
+      for (Key k = r; !stop.load(std::memory_order_relaxed);
+           k = (k + 1) % kPreloaded) {
+        auto got = striped.Get(k);
+        if (!got.ok() || *got != Val(k)) wrong.fetch_add(1);
+        ++n;
+      }
+      reads.fetch_add(n);
+    });
+  }
+  while (readers_started.load() != kReaders) std::this_thread::yield();
+
+  auto writer = std::async(std::launch::async, [&] {
+    std::size_t landed = 0;
+    for (Key k = kPreloaded; k < kPreloaded + kWrites; ++k) {
+      if (striped.Put(k, Val(k)).ok()) ++landed;
+    }
+    return landed;
+  });
+  const bool finished =
+      writer.wait_for(std::chrono::seconds(60)) == std::future_status::ready;
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_TRUE(finished) << "writer starved behind the readers";
+  EXPECT_EQ(writer.get(), kWrites);
+
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(channel->stats().calls - calls_before, reads.load() + kWrites);
+  EXPECT_EQ(cache.stats().splits, 0u);
+  for (Key k = 0; k < kPreloaded + kWrites; ++k) {
+    auto got = striped.Get(k);
+    ASSERT_TRUE(got.ok()) << "key " << k;
+    EXPECT_EQ(*got, Val(k));
+  }
+}
+
+// The lock itself: two readers that always overlap — each holds its share
+// until the other has taken one too — never leave the lock free, so a lock
+// that admits new readers past a waiting writer parks the writer for good.
+// A StripeLock queues the second reader behind the writer instead; the
+// holder gives up waiting for it after 10 ms and lets the writer in.
+TEST(StripedBackendTest, StripeLockAdmitsAWaitingWriterPastOverlappingReaders) {
+  constexpr int kWrites = 20;
+  StripeLock lock;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> acquired[2] = {0, 0};
+  auto reader = [&](int me) {
+    while (!stop.load()) {
+      lock.lock_shared();
+      // Snapshot before announcing, so the partner's next share is seen
+      // even if it lands right after the announcement.
+      const std::uint64_t partner = acquired[1 - me].load();
+      acquired[me].fetch_add(1);
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(10);
+      while (acquired[1 - me].load() == partner && !stop.load() &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      lock.unlock_shared();
+    }
+  };
+  std::thread a(reader, 0);
+  std::thread b(reader, 1);
+  while (acquired[0].load() < 100 || acquired[1].load() < 100) {
+    std::this_thread::yield();
+  }
+
+  auto writer = std::async(std::launch::async, [&] {
+    for (int i = 0; i < kWrites; ++i) {
+      lock.lock();
+      lock.unlock();
+    }
+  });
+  const bool finished =
+      writer.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  stop.store(true);
+  a.join();
+  b.join();
+  writer.get();
+  EXPECT_TRUE(finished) << "writer starved behind overlapping readers";
 }
 
 }  // namespace

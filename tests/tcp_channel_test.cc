@@ -406,6 +406,19 @@ void ServeOneRawReply(int listener, std::string reply) {
   ::close(conn);  // dies mid-frame: the client sees a torn stream + EOF
 }
 
+/// Accept one connection, read the request, and answer with `first`, then
+/// `second` after a pause, so the response reaches the client in two parts.
+void ServeSplitReply(int listener, std::string first, std::string second) {
+  const int conn = ::accept(listener, nullptr, nullptr);
+  if (conn < 0) return;
+  char buf[4096];
+  (void)::read(conn, buf, sizeof(buf));  // swallow the request frame
+  (void)::send(conn, first.data(), first.size(), MSG_NOSIGNAL);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  (void)::send(conn, second.data(), second.size(), MSG_NOSIGNAL);
+  ::close(conn);
+}
+
 int ListenEphemeral(std::uint16_t* port) {
   const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   sockaddr_in addr{};
@@ -464,6 +477,59 @@ TEST(TcpChannelTest, TornBodySurfacesUnavailableNotGarbage) {
   auto out = channel.Call(GetRequest{1}.Encode());
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kUnavailable);
+  server.join();
+  ::close(listener);
+}
+
+// The response arrives in two writes: mid-header and mid-payload splits
+// are both reassembled into the one frame.
+TEST(TcpChannelTest, ResponseInTwoWritesIsReassembled) {
+  GetResponse resp;
+  resp.found = true;
+  resp.value = std::string(6000, 'v');  // past the one-read buffer
+  const std::string frame = resp.Encode().Serialize();
+  for (const std::size_t split : {std::size_t{4}, kFrameHeaderBytes + 100}) {
+    SCOPED_TRACE(split);
+    std::uint16_t port = 0;
+    const int listener = ListenEphemeral(&port);
+    ASSERT_GE(listener, 0);
+    std::thread server(ServeSplitReply, listener, frame.substr(0, split),
+                       frame.substr(split));
+
+    TcpChannelOptions opts;
+    opts.port = port;
+    opts.io_timeout = Duration::Seconds(2);
+    TcpChannel channel(opts);
+    auto out = channel.Call(GetRequest{1}.Encode());
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    auto decoded = GetResponse::Decode(*out);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded->value, resp.value);
+    server.join();
+    ::close(listener);
+  }
+}
+
+// Bytes after the response frame mean the stream is out of step with the
+// calls: the call fails as malformed and the connection is not pooled.
+TEST(TcpChannelTest, BytesPastTheResponseFrameAreRejected) {
+  std::uint16_t port = 0;
+  const int listener = ListenEphemeral(&port);
+  ASSERT_GE(listener, 0);
+  GetResponse resp;
+  resp.found = true;
+  resp.value = "v";
+  const std::string frame = resp.Encode().Serialize();
+  std::thread server(ServeOneRawReply, listener, frame + "extra");
+
+  TcpChannelOptions opts;
+  opts.port = port;
+  opts.io_timeout = Duration::Seconds(2);
+  TcpChannel channel(opts);
+  auto out = channel.Call(GetRequest{1}.Encode());
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(channel.idle_connections(), 0u);
   server.join();
   ::close(listener);
 }
